@@ -60,6 +60,20 @@ timeout 120 ./target/release/crossbow fleet --seed 7 --precision int8 | tee "$FL
 grep -q "FLEET-REPORT pass=true .*precision=int8 precision_ok=true" "$FLEET_LOG"
 rm -f "$FLEET_LOG"
 
+echo "== serve smoke (seeded, wall-clock bounded) =="
+# Train a small model while a one-model fleet serves it under closed-loop
+# load, at f32 and with an int8 final model. The binary exits non-zero
+# unless no request failed or was refused, per-client versions stayed
+# monotone, versions advanced during the load, and the final snapshot
+# serves at the requested precision (with a measured accuracy delta when
+# quantized); the grep asserts the machine-readable verdict.
+SERVE_LOG=$(mktemp)
+for PRECISION in f32 int8; do
+    timeout 120 ./target/release/crossbow serve --seed 7 --precision "$PRECISION" | tee "$SERVE_LOG"
+    grep -q "SERVE-REPORT pass=true .*precision=$PRECISION precision_ok=true" "$SERVE_LOG"
+done
+rm -f "$SERVE_LOG"
+
 echo "== trace validity =="
 # A short traced run must emit parseable Chrome Trace JSON holding the
 # learning, local-sync and global-sync spans (the --check mode of the

@@ -26,14 +26,11 @@ use crossbow::exec_sim::{
     simulate, simulate_robust, simulate_with_machine, RobustSimConfig, SimConfig,
 };
 use crossbow::fleet::{
-    run_fleet_load, Arrival, AutoscalerConfig, CandidateMode, Fleet, FleetConfig, FleetLoadReport,
-    SloClass, StreamSpec,
+    run_fleet_load, train_into_fleet, Arrival, AutoscalerConfig, BatchConfig, CandidateMode, Fleet,
+    FleetConfig, FleetLoadReport, FleetTrainConfig, SloClass, StreamReport, StreamSpec,
 };
 use crossbow::gpu_sim::{FaultPlan, SimDuration};
 use crossbow::nn::ModelProfile;
-use crossbow::serve::{
-    train_and_serve, BatchConfig, LoadConfig, LoadMode, ServeConfig, TrainAndServeConfig,
-};
 use crossbow::sync::sma::{Sma, SmaConfig};
 use crossbow::sync::trainer::PublishHook;
 use crossbow::sync::TrainerConfig;
@@ -168,6 +165,27 @@ impl<'a> Flags<'a> {
             Some(v) => v
                 .parse()
                 .map_err(|_| format!("--{key} expects a number, got `{v}`")),
+        }
+    }
+
+    /// A count that must be at least one.
+    fn parse_positive(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.parse_num(key, default)? {
+            0 => Err(format!("--{key} must be at least 1")),
+            n => Ok(n),
+        }
+    }
+
+    /// An arrival rate in requests per second. Load is paced one request
+    /// every `1 / rate` seconds, so the rate must be positive and that
+    /// interval must fit a `Duration`.
+    fn parse_rate(&self, key: &str, default: f64) -> Result<f64, String> {
+        let rate = self.parse_num(key, default)?;
+        if rate > 0.0 && Duration::try_from_secs_f64(1.0 / rate).is_ok() {
+            Ok(rate)
+        } else {
+            let raw = self.get(key).unwrap_or_default();
+            Err(format!("--{key} must be a positive rate, got `{raw}`"))
         }
     }
 
@@ -904,6 +922,9 @@ fn cmd_autotune(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// The one model `crossbow serve` deploys.
+const SERVE_MODEL: &str = "mlp";
+
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
     flags.reject_unknown(&[
@@ -922,25 +943,40 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     ])?;
     let seed = flags.parse_num("seed", 42u64)?;
     let precision: Precision = flags.get("precision").unwrap_or("f32").parse()?;
-    let mode = match flags.get("mode").unwrap_or("closed") {
-        "closed" => LoadMode::Closed {
-            clients: flags.parse_num("clients", 4usize)?,
-            requests_per_client: flags.parse_num("requests", 200usize)?,
-        },
-        "open" => LoadMode::Open {
-            rps: flags.parse_num("rate", 2000.0f64)?,
-            requests: flags.parse_num("requests", 500usize)?,
-        },
+    // Closed mode: `clients` callers issuing back to back. Open mode: one
+    // stream paced at `rate`, whatever the completions.
+    let deadline = Duration::from_secs(1);
+    let stream = |arrival, requests| StreamSpec {
+        model: SERVE_MODEL.into(),
+        class: SloClass::Standard,
+        arrival,
+        requests,
+        deadline,
+    };
+    let load = match flags.get("mode").unwrap_or("closed") {
+        "closed" => vec![
+            stream(Arrival::Closed, flags.parse_positive("requests", 200)?);
+            flags.parse_positive("clients", 4)?
+        ],
+        "open" => vec![stream(
+            Arrival::Open {
+                rps: flags.parse_rate("rate", 2000.0)?,
+            },
+            flags.parse_positive("requests", 500)?,
+        )],
         other => return Err(format!("unknown mode `{other}` (closed|open)")),
     };
     let telemetry = flags.get("trace").map(|_| Telemetry::wall());
-    let mut serve_config = ServeConfig::new(flags.parse_num("workers", 2usize)?);
-    serve_config.batch = BatchConfig {
-        max_batch: flags.parse_num("max-batch", 16usize)?,
-        max_delay: Duration::from_micros(flags.parse_num("max-delay-us", 2000u64)?),
-        ..BatchConfig::default()
+    let fleet_config = FleetConfig {
+        batch: BatchConfig {
+            max_batch: flags.parse_num("max-batch", 16usize)?,
+            max_delay: Duration::from_micros(flags.parse_num("max-delay-us", 2000u64)?),
+            ..BatchConfig::default()
+        },
+        initial_workers: flags.parse_num("workers", 2usize)?,
+        telemetry: telemetry.clone(),
+        ..FleetConfig::default()
     };
-    serve_config.telemetry = telemetry.clone();
 
     // A Gaussian-mixture task small enough that training and serving both
     // run in seconds on one core.
@@ -956,18 +992,34 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     if let Some(t) = &telemetry {
         trainer = trainer.with_telemetry(t.clone());
     }
-    let config = TrainAndServeConfig {
+    let config = FleetTrainConfig {
+        live_model: SERVE_MODEL.into(),
         trainer,
         publish_every: flags.parse_num("publish-every", 20u64)?,
-        serve: serve_config,
-        load: LoadConfig {
-            mode,
-            seed,
-            panic_client: None,
-        },
+        load,
+        seed,
         precision,
     };
-    let report = train_and_serve(&net, &train_set, &test_set, &mut algo, &config);
+    let fleet = Fleet::builder(fleet_config)
+        .model(SERVE_MODEL, Arc::clone(&net))
+        .start();
+    let registry = fleet.registry(SERVE_MODEL).expect("just registered");
+    let report = train_into_fleet(fleet, &net, &train_set, &test_set, &mut algo, &config);
+    let served = report.fleet.model(SERVE_MODEL).expect("just registered");
+    let streams = &report.load.streams;
+    let sum = |count: fn(&StreamReport) -> u64| streams.iter().map(count).sum::<u64>();
+    let (submitted, ok) = (sum(|s| s.submitted), sum(|s| s.ok));
+    let (rejected, failed) = (sum(|s| s.rejected + s.shed), sum(|s| s.failed));
+    let min_version = streams.iter().map(|s| s.min_version).min().unwrap_or(0);
+    let max_version = streams.iter().map(|s| s.max_version).max().unwrap_or(0);
+    let monotonic = report.load.versions_monotonic();
+    let final_snapshot = registry
+        .current()
+        .ok_or("the live model was never published")?;
+    let delta = |label: &str| match final_snapshot.accuracy_delta {
+        Some(d) => format!(" ({label} {d:+.4})"),
+        None => String::new(),
+    };
 
     println!("train-and-serve (mlp on a 4-class Gaussian mixture)");
     println!("---------------------------------------------------");
@@ -976,32 +1028,55 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         report.curve.iterations, report.curve.final_accuracy
     );
     println!(
-        "load               : {} submitted, {} ok, {} rejected, {} failed",
-        report.load.submitted, report.load.ok, report.load.rejected, report.load.failed
+        "load               : {submitted} submitted, {ok} ok, {rejected} rejected, {failed} failed"
     );
     println!(
-        "snapshot versions  : {}..{} (monotonic per client: {})",
-        report.load.min_version, report.load.max_version, report.load.versions_monotonic
+        "snapshot versions  : {min_version}..{max_version} (monotonic per client: {monotonic})"
     );
-    println!("server             : {}", report.serve.summary());
+    println!(
+        "server             : {} ok / {} rejected, {} batches (mean {:.1}), {:.0} req/s, \
+         p50 {:?} p99 {:?}, versions {}..{}, precision {}{}",
+        served.completed,
+        served.rejected + served.shed,
+        served.batches,
+        served.completed as f64 / served.batches.max(1) as f64,
+        served.completed as f64 / report.fleet.wall.as_secs_f64(),
+        served.latency.p50,
+        served.latency.p99,
+        served.min_version,
+        served.max_version,
+        final_snapshot.precision,
+        delta("acc delta"),
+    );
     println!(
         "final precision    : {}{}",
-        report.serve.precision,
-        match report.serve.accuracy_delta {
-            Some(d) => format!(" (accuracy delta vs f32: {d:+.4})"),
-            None => String::new(),
-        }
+        final_snapshot.precision,
+        delta("accuracy delta vs f32:")
     );
     println!(
         "latency            : p50 {:?}  p95 {:?}  p99 {:?}",
-        report.serve.request_latency.p50,
-        report.serve.request_latency.p95,
-        report.serve.request_latency.p99
+        served.latency.p50, served.latency.p95, served.latency.p99
     );
     if let (Some(path), Some(t)) = (flags.get("trace"), &telemetry) {
         let timeline = t.recorder.timeline();
         let json = chrome::to_chrome_json(timeline.spans(), &[(HOST_DEVICE, "host")]);
         write_trace(path, &json, timeline.len())?;
+    }
+
+    // Invariants the run must uphold; ci.sh greps the marker line. A
+    // quantized final model must carry its measured accuracy delta.
+    let answered = rejected == 0 && failed == 0 && ok == submitted;
+    let advanced = max_version > min_version;
+    let precision_ok = final_snapshot.precision == precision
+        && final_snapshot.accuracy_delta.is_some() == (precision != Precision::F32);
+    let pass = answered && monotonic && advanced && precision_ok;
+    println!(
+        "SERVE-REPORT pass={pass} answered={answered} monotonic={monotonic} \
+         advanced={advanced} precision={} precision_ok={precision_ok} completed={}",
+        final_snapshot.precision, served.completed,
+    );
+    if !pass {
+        return Err("serve invariants violated (see SERVE-REPORT line)".into());
     }
     Ok(())
 }
@@ -1044,7 +1119,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     let seed = flags.parse_num("seed", 42u64)?;
     let n_models = flags.parse_num("models", 3usize)?.max(1);
     let requests = flags.parse_num("requests", 120usize)?.max(8);
-    let rate = flags.parse_num("rate", 1200.0f64)?;
+    let rate = flags.parse_rate("rate", 1200.0)?;
     let canary_pct: u8 = flags.parse_num("canary-pct", 30u8)?.min(100);
     let precision: Precision = flags.get("precision").unwrap_or("f32").parse()?;
     let autoscale = flags.parse_num("autoscale", 1u8)? != 0;

@@ -32,11 +32,11 @@
 
 use crossbow::benchmark::Benchmark;
 use crossbow::exec_cpu::{train_concurrent, CpuEngineConfig};
+use crossbow::fleet::BatchConfig;
 use crossbow::fleet::{
     run_fleet_load, Arrival, AutoscalerConfig, Fleet, FleetConfig, SloClass, StreamSpec,
 };
 use crossbow::nn::zoo::mlp;
-use crossbow::serve::BatchConfig;
 use crossbow_telemetry::Telemetry;
 use crossbow_tensor::gemm::{gemm_naive, gemm_parallel, gemm_ws, with_kernel};
 use crossbow_tensor::{GemmKernel, Rng, Workspace};
@@ -221,7 +221,7 @@ fn bench_infer(smoke: bool, out_dir: &str) -> std::io::Result<bool> {
     } else {
         (&[128, 64], 4096, 4)
     };
-    // Two eval batch sizes: the server's default max_batch (16), the
+    // Two eval batch sizes: the fleet's default max_batch (16), the
     // regime the quantized path is for — the f32 GEMM re-packs weights
     // every call while the int8 operator is pre-packed at quantize time
     // — and a large batch (64) where the packed f32 GEMM amortises.

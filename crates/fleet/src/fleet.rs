@@ -23,7 +23,7 @@ use crate::report::{FleetReport, ModelReport};
 use crate::request::{FleetError, FleetJob, FleetPrediction, FleetTicket, SloClass};
 use crate::router::{routes_to_canary, CandidateMode, ModelRouter};
 use crossbow_nn::{Network, QuantizedModel, Scratch};
-use crossbow_serve::{BatchConfig, ModelSpec, SnapshotRegistry};
+use crossbow_serve::{ModelSpec, SnapshotRegistry};
 use crossbow_telemetry::{
     Counter, Gauge, Histogram, HistogramCell, SpanKind, Telemetry, HOST_DEVICE,
 };
@@ -36,6 +36,46 @@ use std::time::{Duration, Instant};
 
 /// How often a parked worker re-checks for work and retirement.
 const POLL: Duration = Duration::from_millis(10);
+
+/// Micro-batching parameters.
+///
+/// Serving inverts the paper's small-batch thesis: training wants small
+/// batches for statistical efficiency, but a forward pass over one
+/// request wastes the hardware. Workers therefore coalesce queued
+/// requests, flushing when `max_batch` are in hand or the *oldest* has
+/// waited `max_delay` — a burst pays one forward pass and a trickle
+/// still meets its latency bound.
+#[derive(Clone, Copy, Debug)]
+pub struct BatchConfig {
+    /// Flush once this many requests are coalesced.
+    pub max_batch: usize,
+    /// Flush once the oldest queued request has waited this long.
+    pub max_delay: Duration,
+    /// Bounded per-model queue capacity; a full queue refuses new
+    /// submissions with `Overloaded` unless it can shed a lower class.
+    pub queue_depth: usize,
+}
+
+impl Default for BatchConfig {
+    fn default() -> Self {
+        BatchConfig {
+            max_batch: 16,
+            max_delay: Duration::from_millis(2),
+            queue_depth: 256,
+        }
+    }
+}
+
+impl BatchConfig {
+    /// The batch=1 baseline: no coalescing, every request is its own
+    /// forward pass.
+    pub fn unbatched() -> Self {
+        BatchConfig {
+            max_batch: 1,
+            ..BatchConfig::default()
+        }
+    }
+}
 
 /// Fleet-wide parameters.
 #[derive(Clone, Debug)]
@@ -631,7 +671,7 @@ fn worker_loop(inner: &Inner, home: usize, lane: u32) {
             }
         };
         let owner_rt = &inner.models[owner];
-        let batch = collect_batch(owner_rt, first, max_batch, &inner.config, stopping);
+        let batch = collect_batch(&owner_rt.queue, first, &inner.config.batch, stopping);
         // Flush-time depth sample: the high-water mark must see backlog
         // that built up while this worker was busy.
         owner_rt.sample_queue_depth();
@@ -662,21 +702,21 @@ fn worker_loop(inner: &Inner, home: usize, lane: u32) {
     }
 }
 
-/// Coalesces `first` with more of the owner's queued jobs, mirroring the
-/// serve batcher: flush on `max_batch` or when the oldest job has waited
-/// `max_delay`; during a drain, take only what is already buffered.
+/// Coalesces `first` with more jobs from `queue`: flush on `max_batch`
+/// or when the oldest job has waited `max_delay`; during a drain
+/// (`stopping`), take only what is already buffered.
 fn collect_batch(
-    owner: &ModelRuntime,
+    queue: &SloQueue,
     first: FleetJob,
-    max_batch: usize,
-    config: &FleetConfig,
+    config: &BatchConfig,
     stopping: bool,
 ) -> Vec<FleetJob> {
-    let deadline = first.enqueued + config.batch.max_delay;
+    let max_batch = config.max_batch.max(1);
+    let deadline = first.enqueued + config.max_delay;
     let mut batch = Vec::with_capacity(max_batch);
     batch.push(first);
     while batch.len() < max_batch {
-        if let Some(job) = owner.queue.try_pop() {
+        if let Some(job) = queue.try_pop() {
             batch.push(job);
             continue;
         }
@@ -686,7 +726,7 @@ fn collect_batch(
         let Some(wait) = deadline.checked_duration_since(Instant::now()) else {
             break;
         };
-        match owner.queue.pop_timeout(wait) {
+        match queue.pop_timeout(wait) {
             Some(job) => batch.push(job),
             None => break,
         }
@@ -895,6 +935,7 @@ fn run_tick(inner: &Arc<Inner>) -> Vec<ScaleDecision> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::Reply;
     use crossbow_nn::zoo::mlp;
     use crossbow_tensor::Rng;
 
@@ -911,20 +952,22 @@ mod tests {
         builder.start()
     }
 
+    /// A blocking Standard-class call with a generous deadline.
+    fn call(
+        client: &FleetClient,
+        model: &str,
+        input: Vec<f32>,
+    ) -> Result<FleetPrediction, FleetError> {
+        client.call(model, input, SloClass::Standard, Duration::from_secs(5))
+    }
+
     #[test]
     fn serves_multiple_models_and_drains_cleanly() {
         let fleet = fleet_of(&["alpha", "beta"], FleetConfig::default());
         let client = fleet.client();
         for _ in 0..10 {
             for model in ["alpha", "beta"] {
-                let p = client
-                    .call(
-                        model,
-                        vec![0.3; 4],
-                        SloClass::Standard,
-                        Duration::from_secs(5),
-                    )
-                    .expect("served");
+                let p = call(&client, model, vec![0.3; 4]).expect("served");
                 assert_eq!(p.version, 1);
                 assert!(p.met_deadline);
                 assert!(!p.canary);
@@ -987,6 +1030,96 @@ mod tests {
         );
         let report = fleet.shutdown();
         assert_eq!(report.model("empty").unwrap().no_model, 1);
+    }
+
+    #[test]
+    fn requests_before_the_first_publication_answer_no_model() {
+        let net = Arc::new(mlp(4, &[8], 3));
+        let registry = Arc::new(SnapshotRegistry::new(ModelSpec::of(&net)));
+        let fleet = Fleet::builder(FleetConfig::default())
+            .model_with_registry("late", Arc::clone(&net), Arc::clone(&registry))
+            .start();
+        let client = fleet.client();
+        assert_eq!(
+            call(&client, "late", vec![0.0; 4]),
+            Err(FleetError::NoModel)
+        );
+        // The first publication is picked up without a restart.
+        registry
+            .publish(net.init_params(&mut Rng::new(3)), 1)
+            .unwrap();
+        assert_eq!(
+            call(&client, "late", vec![0.0; 4]).expect("served").version,
+            1
+        );
+        let report = fleet.shutdown();
+        let m = report.model("late").unwrap();
+        assert_eq!((m.no_model, m.completed), (1, 1));
+        assert_eq!(
+            (m.min_version, m.max_version),
+            (1, 1),
+            "the refused request served no version"
+        );
+    }
+
+    #[test]
+    fn mis_shaped_inputs_are_refused_at_admission() {
+        let fleet = fleet_of(&["shaped"], FleetConfig::default());
+        let client = fleet.client();
+        for got in [0, 3, 7] {
+            assert_eq!(
+                client
+                    .submit(
+                        "shaped",
+                        vec![0.0; got],
+                        SloClass::Standard,
+                        Duration::from_secs(1)
+                    )
+                    .err(),
+                Some(FleetError::BadRequest { expected: 4, got })
+            );
+        }
+        let report = fleet.shutdown();
+        let m = report.model("shaped").unwrap();
+        assert_eq!(
+            (m.completed, m.rejected, m.shed, m.batches),
+            (0, 0, 0, 0),
+            "refused requests never reach a queue or a worker"
+        );
+    }
+
+    #[test]
+    fn a_quantized_snapshot_serves_through_the_quant_path() {
+        use crossbow_tensor::Precision;
+        let net = Arc::new(mlp(4, &[8], 3));
+        let registry = Arc::new(SnapshotRegistry::new(ModelSpec::of(&net)));
+        let params = net.init_params(&mut Rng::new(1));
+        let model = Arc::new(net.quantize(&params, Precision::Int8));
+        registry
+            .publish_quantized(Arc::clone(&model), 11, Some(-0.01))
+            .unwrap();
+        let fleet = Fleet::builder(FleetConfig::default())
+            .model_with_registry("int8", Arc::clone(&net), Arc::clone(&registry))
+            .start();
+        let client = fleet.client();
+        let mut scratch = net.scratch();
+        let mut rng = Rng::new(9);
+        for _ in 0..12 {
+            let input: Vec<f32> = (0..4).map(|_| rng.normal()).collect();
+            let served = call(&client, "int8", input.clone()).expect("served");
+            let direct = net.predict_quant(
+                &model,
+                &Tensor::from_vec(Shape::new(&[1, 4]), input),
+                &mut scratch,
+            );
+            assert_eq!(served.class, direct[0], "fleet matches the int8 forward");
+            assert_eq!(served.version, 1);
+        }
+        let current = registry.current().unwrap();
+        assert_eq!(current.precision, Precision::Int8);
+        assert_eq!(current.accuracy_delta, Some(-0.01));
+        let report = fleet.shutdown();
+        assert_eq!(report.model("int8").unwrap().completed, 12);
     }
 
     #[test]
@@ -1110,5 +1243,291 @@ mod tests {
         let report = fleet.shutdown();
         assert_eq!(report.decisions.len(), 2);
         assert!(report.scaled_both_ways());
+    }
+
+    fn submit(client: &FleetClient, model: &str) -> FleetTicket {
+        client
+            .submit(
+                model,
+                vec![0.1; 4],
+                SloClass::Standard,
+                Duration::from_secs(30),
+            )
+            .expect("admitted")
+    }
+
+    #[test]
+    fn predictions_match_a_direct_eval_forward() {
+        let fleet = fleet_of(&["direct"], FleetConfig::default());
+        let params = fleet.registry("direct").unwrap().current().unwrap();
+        let net = mlp(4, &[8], 3);
+        let mut scratch = net.scratch();
+        let client = fleet.client();
+        let mut rng = Rng::new(2);
+        for _ in 0..20 {
+            let input: Vec<f32> = (0..4).map(|_| rng.normal()).collect();
+            let served = call(&client, "direct", input.clone()).expect("served");
+            let direct = net.predict(
+                &params.params,
+                &Tensor::from_vec(Shape::new(&[1, 4]), input),
+                &mut scratch,
+            );
+            assert_eq!(served.class, direct[0], "fleet matches direct eval");
+            assert_eq!(served.version, 1);
+        }
+        let report = fleet.shutdown();
+        let m = report.model("direct").unwrap();
+        assert_eq!((m.completed, m.rejected), (20, 0));
+        assert_eq!((m.min_version, m.max_version), (1, 1));
+        assert!(m.batches >= 1 && m.batches <= 20);
+        assert!(m.latency.p99 > Duration::ZERO);
+    }
+
+    #[test]
+    fn wait_deadline_times_out_with_a_typed_error() {
+        // A long per-batch charge so the second request is still
+        // unanswered when its caller gives up.
+        let config = FleetConfig {
+            synthetic_delay: Some(Duration::from_millis(200)),
+            ..FleetConfig::default()
+        };
+        let fleet = fleet_of(&["slow"], config);
+        let client = fleet.client();
+        let first = submit(&client, "slow");
+        let second = submit(&client, "slow");
+        assert_eq!(
+            second.wait_deadline(Duration::from_millis(1)),
+            Err(FleetError::Deadline),
+            "a bounded wait must not hang on a busy worker"
+        );
+        // The request itself is still served; only the caller stopped
+        // waiting.
+        first
+            .wait_deadline(Duration::from_secs(30))
+            .expect("served within the bound");
+        let report = fleet.shutdown();
+        assert_eq!(
+            report.model("slow").unwrap().completed,
+            2,
+            "abandoned tickets still complete"
+        );
+    }
+
+    #[test]
+    fn a_full_queue_rejects_with_overloaded() {
+        let config = FleetConfig {
+            batch: BatchConfig {
+                max_batch: 1,
+                max_delay: Duration::ZERO,
+                queue_depth: 2,
+            },
+            // Slow the worker so the burst genuinely overflows the queue.
+            synthetic_delay: Some(Duration::from_millis(50)),
+            ..FleetConfig::default()
+        };
+        let fleet = fleet_of(&["full"], config);
+        let client = fleet.client();
+        let mut tickets = Vec::new();
+        let mut rejected = 0u64;
+        for _ in 0..10 {
+            match client.submit(
+                "full",
+                vec![0.1; 4],
+                SloClass::Standard,
+                Duration::from_secs(30),
+            ) {
+                Ok(t) => tickets.push(t),
+                Err(FleetError::Overloaded) => rejected += 1,
+                Err(other) => panic!("unexpected {other:?}"),
+            }
+        }
+        assert!(rejected > 0, "the burst must overflow a depth-2 queue");
+        let admitted = tickets.len() as u64;
+        for ticket in tickets {
+            ticket.wait().expect("admitted requests complete");
+        }
+        let report = fleet.shutdown();
+        let m = report.model("full").unwrap();
+        assert_eq!((m.completed, m.rejected, m.shed), (admitted, rejected, 0));
+        assert!(m.max_queue_depth >= 1);
+    }
+
+    #[test]
+    fn queue_depth_high_water_is_recorded_at_flush_not_only_submit() {
+        let telemetry = Telemetry::wall();
+        let config = FleetConfig {
+            batch: BatchConfig {
+                max_batch: 1,
+                max_delay: Duration::ZERO,
+                queue_depth: 64,
+            },
+            synthetic_delay: Some(Duration::from_millis(5)),
+            telemetry: Some(telemetry.clone()),
+            ..FleetConfig::default()
+        };
+        let fleet = fleet_of(&["deep"], config);
+        let client = fleet.client();
+        let tickets: Vec<FleetTicket> = (0..6).map(|_| submit(&client, "deep")).collect();
+        for t in tickets {
+            t.wait().expect("served");
+        }
+        let report = fleet.shutdown();
+        let m = report.model("deep").unwrap();
+        assert_eq!(m.completed, 6);
+        assert!(m.max_queue_depth >= 1, "the burst queued behind the worker");
+        // The last submit saw a backlog behind the busy worker; only the
+        // flush-time samples follow the queue back down to empty.
+        assert_eq!(
+            telemetry.metrics.gauge("fleet.deep.queue_depth").get(),
+            0,
+            "each flush must re-sample the depth gauge"
+        );
+    }
+
+    #[test]
+    fn telemetry_sink_collects_spans_and_admission_metrics() {
+        let telemetry = Telemetry::wall();
+        let config = FleetConfig {
+            telemetry: Some(telemetry.clone()),
+            ..FleetConfig::default()
+        };
+        let fleet = fleet_of(&["traced"], config);
+        let client = fleet.client();
+        for _ in 0..6 {
+            submit(&client, "traced").wait().expect("served");
+        }
+        let report = fleet.shutdown();
+        let batches = report.model("traced").unwrap().batches;
+        // Every executed batch has one fetch and one inference span.
+        let timeline = telemetry.recorder.timeline();
+        let spans = |kind: SpanKind, label: &str| {
+            timeline
+                .spans()
+                .iter()
+                .filter(|s| s.kind == kind && s.label == label)
+                .count() as u64
+        };
+        assert_eq!(spans(SpanKind::BatchFetch, "fleet-fetch"), batches);
+        assert_eq!(spans(SpanKind::Infer, "fleet-infer"), batches);
+        // Admission and completion counters live in the shared registry.
+        let snap = telemetry.metrics.snapshot();
+        assert_eq!(snap.counters["fleet.traced.completed"], 6);
+        assert_eq!(snap.counters["fleet.traced.rejected"], 0);
+    }
+
+    #[test]
+    fn shutdown_drains_admitted_requests_before_stopping() {
+        let config = FleetConfig {
+            batch: BatchConfig {
+                max_batch: 4,
+                max_delay: Duration::from_millis(1),
+                queue_depth: 64,
+            },
+            synthetic_delay: Some(Duration::from_millis(5)),
+            ..FleetConfig::default()
+        };
+        let fleet = fleet_of(&["drain"], config);
+        let client = fleet.client();
+        let tickets: Vec<FleetTicket> = (0..8).map(|_| submit(&client, "drain")).collect();
+        // Shut down at once: every admitted request must still be
+        // answered with a prediction, not dropped.
+        let report = fleet.shutdown();
+        for ticket in tickets {
+            ticket.wait().expect("drained, not dropped");
+        }
+        assert_eq!(report.model("drain").unwrap().completed, 8);
+        assert_eq!(
+            client
+                .submit(
+                    "drain",
+                    vec![0.2; 4],
+                    SloClass::Standard,
+                    Duration::from_secs(1)
+                )
+                .err(),
+            Some(FleetError::ShuttingDown)
+        );
+    }
+
+    /// A queue holding `n` fresh jobs, plus their reply receivers (kept
+    /// alive so the jobs stay answerable).
+    fn queue_of(n: usize) -> (SloQueue, Vec<mpsc::Receiver<Reply>>) {
+        let queue = SloQueue::new(8);
+        let replies = (0..n)
+            .map(|id| {
+                let (resp, reply) = mpsc::channel();
+                let now = Instant::now();
+                queue
+                    .push(FleetJob {
+                        id: id as u64,
+                        input: vec![0.0],
+                        class: SloClass::Standard,
+                        enqueued: now,
+                        deadline: now + Duration::from_secs(60),
+                        resp,
+                    })
+                    .expect("room in the queue");
+                reply
+            })
+            .collect();
+        (queue, replies)
+    }
+
+    fn window(max_batch: usize, max_delay: Duration) -> BatchConfig {
+        BatchConfig {
+            max_batch,
+            max_delay,
+            queue_depth: 8,
+        }
+    }
+
+    #[test]
+    fn flushes_on_max_batch_without_waiting_out_the_delay() {
+        let (queue, _replies) = queue_of(3);
+        let first = queue.try_pop().unwrap();
+        let started = Instant::now();
+        let batch = collect_batch(&queue, first, &window(3, Duration::from_secs(60)), false);
+        assert_eq!(batch.len(), 3);
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "a full batch must not wait for the deadline"
+        );
+    }
+
+    #[test]
+    fn flushes_a_partial_batch_at_the_deadline() {
+        let (queue, _replies) = queue_of(1);
+        let first = queue.try_pop().unwrap();
+        let batch = collect_batch(&queue, first, &window(16, Duration::from_millis(20)), false);
+        assert_eq!(batch.len(), 1, "deadline flush with whatever arrived");
+    }
+
+    #[test]
+    fn deadline_is_anchored_to_the_oldest_request() {
+        // A first job that has already aged past the delay flushes with
+        // only the free jobs: the deadline does not restart per arrival.
+        let (queue, _replies) = queue_of(2);
+        let mut first = queue.try_pop().unwrap();
+        first.enqueued = Instant::now() - Duration::from_secs(1);
+        let started = Instant::now();
+        let batch = collect_batch(&queue, first, &window(16, Duration::from_millis(50)), false);
+        assert_eq!(batch.len(), 2, "buffered job still joins");
+        assert!(
+            started.elapsed() < Duration::from_millis(40),
+            "no fresh wait"
+        );
+    }
+
+    #[test]
+    fn stopping_takes_the_buffer_without_waiting() {
+        let (queue, _replies) = queue_of(2);
+        let first = queue.try_pop().unwrap();
+        let started = Instant::now();
+        let batch = collect_batch(&queue, first, &window(16, Duration::from_secs(60)), true);
+        assert_eq!(batch.len(), 2);
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "drain is prompt"
+        );
     }
 }

@@ -1,10 +1,10 @@
-//! Multi-model, SLO-driven serving for the CROSSBOW reproduction.
+//! The serving runtime of the CROSSBOW reproduction: multi-model,
+//! SLO-driven, micro-batched.
 //!
-//! `crossbow-serve` runs one model behind one fixed pool; this crate is
-//! what "millions of users" traffic lands on: many named models behind
-//! one admission edge, each with its own pool, sharing capacity and
-//! scaling themselves. Built entirely on std plus the in-repo serving
-//! stack:
+//! One or many named models sit behind one admission edge, each with
+//! its own pool, sharing capacity and scaling themselves; a one-model
+//! fleet is how `crossbow serve` deploys the trained `z`. Models come
+//! from `crossbow-serve`'s snapshot registry. Built entirely on std:
 //!
 //! * [`request`] — the admission vocabulary: [`SloClass`] priority
 //!   lattice, per-request deadlines, goodput-aware replies;
@@ -18,12 +18,13 @@
 //! * [`autoscaler`] — the serving analogue of the paper's Algorithm 2:
 //!   probe interval p99 and queue high-water marks, grow/shrink each
 //!   pool with hysteresis and cooldown;
-//! * [`fleet`] — the pools themselves: elastic workers, work stealing
-//!   across spec-compatible models, graceful drain;
+//! * [`fleet`] — the pools themselves: deadline-based micro-batching
+//!   ([`BatchConfig`]), elastic workers, work stealing across
+//!   spec-compatible models, graceful drain;
 //! * [`loadgen`] + [`train_fleet`] — mixed-priority stream load
 //!   generation (open and closed arrivals, per-class goodput) and the
 //!   combined run where a live trainer publishes into one fleet model
-//!   mid-load.
+//!   mid-load, optionally finishing on a quantized final model.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -38,7 +39,7 @@ pub mod router;
 pub mod train_fleet;
 
 pub use autoscaler::{decide, AutoscalerConfig, Observation, ScaleDecision, ScaleReason};
-pub use fleet::{Fleet, FleetBuilder, FleetClient, FleetConfig};
+pub use fleet::{BatchConfig, Fleet, FleetBuilder, FleetClient, FleetConfig};
 pub use loadgen::{run_fleet_load, Arrival, FleetLoadReport, StreamReport, StreamSpec};
 pub use queue::{Admission, SloQueue};
 pub use report::{FleetReport, ModelReport};

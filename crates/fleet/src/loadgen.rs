@@ -167,6 +167,32 @@ impl FleetLoadReport {
         self.streams.iter().map(|s| s.ok).sum()
     }
 
+    /// Appends a run that started after this one finished, against the
+    /// same fleet. Registry versions only grow, so a later stream must
+    /// not observe a version below one this run already saw on the same
+    /// model; a stream that does is marked non-monotonic.
+    pub fn followed_by(mut self, later: FleetLoadReport) -> FleetLoadReport {
+        let seen = |model: &str| {
+            self.streams
+                .iter()
+                .filter(|s| s.model == model)
+                .map(|s| s.max_version)
+                .max()
+                .unwrap_or(0)
+        };
+        let later_streams: Vec<StreamReport> = later
+            .streams
+            .into_iter()
+            .map(|mut s| {
+                s.versions_monotonic &= s.min_version >= seen(&s.model);
+                s
+            })
+            .collect();
+        self.streams.extend(later_streams);
+        self.wall += later.wall;
+        self
+    }
+
     /// One line per stream.
     pub fn summary(&self) -> String {
         let mut out = String::new();
@@ -277,4 +303,92 @@ fn run_stream(
         }
     }
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fleet::{Fleet, FleetConfig};
+    use crossbow_nn::zoo::mlp;
+    use std::sync::Arc;
+
+    fn serving() -> (Fleet, Vec<Vec<f32>>) {
+        let net = Arc::new(mlp(4, &[8], 3));
+        let fleet = Fleet::builder(FleetConfig {
+            initial_workers: 2,
+            ..FleetConfig::default()
+        })
+        .model("m", Arc::clone(&net))
+        .start();
+        fleet
+            .registry("m")
+            .expect("registered")
+            .publish(net.init_params(&mut Rng::new(1)), 1)
+            .expect("params fit");
+        let inputs = (0..8).map(|i| vec![i as f32 * 0.1; 4]).collect();
+        (fleet, inputs)
+    }
+
+    fn stream(arrival: Arrival, requests: usize) -> StreamSpec {
+        StreamSpec {
+            model: "m".into(),
+            class: SloClass::Standard,
+            arrival,
+            requests,
+            deadline: Duration::from_secs(5),
+        }
+    }
+
+    #[test]
+    fn closed_loop_completes_every_request() {
+        let (fleet, inputs) = serving();
+        let specs = vec![stream(Arrival::Closed, 25); 4];
+        let load = run_fleet_load(&fleet.client(), &inputs, &specs, 9);
+        for s in &load.streams {
+            assert_eq!((s.submitted, s.ok), (25, 25));
+            assert_eq!(s.shed + s.rejected + s.failed, 0);
+            assert_eq!((s.min_version, s.max_version), (1, 1));
+        }
+        assert!(load.versions_monotonic());
+        assert_eq!(fleet.shutdown().total_completed(), 100);
+    }
+
+    #[test]
+    fn open_loop_completes_every_request_at_a_feasible_rate() {
+        let (fleet, inputs) = serving();
+        let specs = [stream(Arrival::Open { rps: 2000.0 }, 60)];
+        let load = run_fleet_load(&fleet.client(), &inputs, &specs, 9);
+        assert_eq!(load.streams[0].submitted, 60);
+        assert_eq!(load.total_ok(), 60);
+        // Pacing 60 arrivals at 2000/s takes at least ~30ms.
+        assert!(load.wall >= Duration::from_millis(25));
+        fleet.shutdown();
+    }
+
+    #[test]
+    fn merged_rounds_check_monotonicity_across_the_boundary() {
+        let round = |model: &str, min_version: u64, max_version: u64| FleetLoadReport {
+            streams: vec![StreamReport {
+                ok: 10,
+                min_version,
+                max_version,
+                ..StreamReport::new(model, SloClass::Standard)
+            }],
+            wall: Duration::from_millis(10),
+        };
+        let merged = round("m", 1, 3).followed_by(round("m", 3, 5));
+        assert!(merged.versions_monotonic());
+        assert_eq!(merged.total_ok(), 20);
+        assert_eq!(merged.wall, Duration::from_millis(20));
+        // A later round that saw an *older* version than the earlier
+        // round's max breaks monotonicity...
+        assert!(!round("m", 1, 3)
+            .followed_by(round("m", 2, 5))
+            .versions_monotonic());
+        // ...but versions are per model: another model's registry counts
+        // from its own start.
+        assert!(round("m", 1, 3)
+            .followed_by(round("other", 1, 1))
+            .versions_monotonic());
+    }
 }

@@ -1,22 +1,27 @@
 //! Train-into-fleet: a live trainer publishing into one model of a
 //! serving fleet, mid-load.
 //!
-//! The fleet analogue of `crossbow_serve::train_and_serve`: one named
-//! model's registry is fed by a background trainer's
-//! [`PublishHook`](crossbow_sync::PublishHook) while mixed-priority
-//! load runs against the whole fleet. Hot swaps stay invisible except
-//! as rising snapshot versions; the other models serve their static
-//! snapshots undisturbed.
+//! The paper's average model `z` is the deployable artifact; here it is
+//! deployed *while still improving*. One named model's registry is fed
+//! by a background trainer's [`PublishHook`](crossbow_sync::PublishHook)
+//! while load runs against the whole fleet. Hot swaps stay invisible
+//! except as rising snapshot versions; any other models serve their
+//! static snapshots undisturbed.
 
 use crate::fleet::Fleet;
 use crate::loadgen::{run_fleet_load, FleetLoadReport, StreamSpec};
 use crate::report::FleetReport;
 use crossbow_data::Dataset;
-use crossbow_nn::Network;
+use crossbow_nn::{accuracy_delta, Network};
+use crossbow_serve::SnapshotRegistry;
 use crossbow_sync::algorithm::SyncAlgorithm;
 use crossbow_sync::{train, TrainerConfig, TrainingCurve};
+use crossbow_tensor::{Precision, Shape, Tensor};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// How many test samples the quantization accuracy delta is measured on.
+const DELTA_EVAL_SAMPLES: usize = 256;
 
 /// A train-into-fleet run's parameters.
 #[derive(Clone, Debug)]
@@ -31,6 +36,13 @@ pub struct FleetTrainConfig {
     pub load: Vec<StreamSpec>,
     /// Seed for request selection (varied per round).
     pub seed: u64,
+    /// Serving precision of the *final* model. Training publications stay
+    /// f32 (the model is still moving; quantizing every few iterations
+    /// buys nothing); once training finishes, the last consensus model is
+    /// quantized, its accuracy delta measured against f32 on the test
+    /// set, and the result published before the guaranteed post-training
+    /// load round — so that round serves at this precision.
+    pub precision: Precision,
 }
 
 /// What a train-into-fleet run produced.
@@ -100,15 +112,14 @@ pub fn train_into_fleet<A: SyncAlgorithm + Send>(
             // wholly after training, so the loop always ends with a
             // post-training round against the final model.
             let finished = done.load(Ordering::Acquire);
+            if finished && config.precision != Precision::F32 {
+                publish_final_quantized(net, &registry, test_set, config.precision);
+            }
             let result = run_fleet_load(&client, &inputs, &config.load, config.seed ^ round);
             round += 1;
             merged = Some(match merged {
                 None => result,
-                Some(mut earlier) => {
-                    earlier.wall += result.wall;
-                    earlier.streams.extend(result.streams);
-                    earlier
-                }
+                Some(earlier) => earlier.followed_by(result),
             });
             if finished {
                 break;
@@ -119,4 +130,37 @@ pub fn train_into_fleet<A: SyncAlgorithm + Send>(
     });
     let fleet = fleet.shutdown();
     FleetTrainReport { curve, load, fleet }
+}
+
+/// Quantizes the registry's latest model (the final consensus `z` at
+/// this point), measures what the precision costs against f32 on a
+/// bounded slice of the test set, and publishes the result.
+fn publish_final_quantized(
+    net: &Network,
+    registry: &SnapshotRegistry,
+    test_set: &Dataset,
+    precision: Precision,
+) {
+    let snapshot = registry.current().expect("published before serving");
+    let model = net.quantize(&snapshot.params, precision);
+    let n = test_set.labels().len().min(DELTA_EVAL_SAMPLES);
+    let delta = (n > 0).then(|| {
+        let mut dims = vec![n];
+        dims.extend_from_slice(net.input_shape().dims());
+        let head = Tensor::from_vec(
+            Shape::new(&dims),
+            test_set.images_tensor().data()[..n * test_set.sample_len()].to_vec(),
+        );
+        accuracy_delta(
+            net,
+            &snapshot.params,
+            &model,
+            &head,
+            &test_set.labels()[..n],
+            32,
+        )
+    });
+    registry
+        .publish_quantized(Arc::new(model), snapshot.iteration, delta)
+        .expect("quantized model keeps its own spec");
 }

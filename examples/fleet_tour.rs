@@ -6,7 +6,7 @@
 //! cargo run --release -p crossbow --example fleet_tour
 //! ```
 //!
-//! One `crossbow_serve::Server` runs one model; the fleet is what the
+//! `serve_tour` deploys one model on a one-model fleet; this is what the
 //! front door looks like when there are many. Each named model gets its
 //! own SLO-ordered queue and elastic worker pool, idle pools steal
 //! batches from spec-compatible peers, an open-loop flood forces the
@@ -16,11 +16,10 @@
 //! move pool sizes both ways.
 
 use crossbow::fleet::{
-    run_fleet_load, Arrival, AutoscalerConfig, CandidateMode, Fleet, FleetConfig, SloClass,
-    StreamSpec,
+    run_fleet_load, Arrival, AutoscalerConfig, BatchConfig, CandidateMode, Fleet, FleetConfig,
+    SloClass, StreamSpec,
 };
 use crossbow::nn::zoo::mlp;
-use crossbow::serve::BatchConfig;
 use crossbow::tensor::Rng;
 use std::sync::Arc;
 use std::time::Duration;

@@ -1,4 +1,4 @@
-//! Tour of the serving subsystem: snapshot hot-swap, micro-batching,
+//! Tour of the serving stack: snapshot hot-swap, micro-batching,
 //! checkpoint round-trips, the combined train-and-serve run, and a
 //! quantized int8 candidate staged through the fleet's canary route.
 //!
@@ -8,25 +8,45 @@
 //!
 //! Training's product is the central average model `z`; this example
 //! deploys it. A [`SnapshotRegistry`] holds immutable versioned models
-//! that can be swapped under load, a [`Server`] coalesces concurrent
-//! requests into micro-batches, and [`train_and_serve`] runs both halves
-//! at once — the trainer keeps publishing fresher `z` snapshots while
-//! clients hammer the server. The finale quantizes the trained model to
-//! int8, measures its accuracy delta against the f32 source, and walks
-//! it through canary staging and promotion (DESIGN.md §16).
+//! that can be swapped under load, a one-model [`Fleet`] coalesces
+//! concurrent requests into micro-batches, and [`train_into_fleet`] runs
+//! both halves at once — the trainer keeps publishing fresher `z`
+//! snapshots while clients hammer the fleet. The finale quantizes the
+//! trained model to int8, measures its accuracy delta against the f32
+//! source, and walks it through canary staging and promotion
+//! (DESIGN.md §16).
 
 use crossbow::data::synth::gaussian_mixture;
-use crossbow::fleet::{CandidateMode, Fleet, FleetConfig, SloClass};
-use crossbow::nn::zoo::mlp;
-use crossbow::serve::{
-    export_snapshot, load_into, run_load, train_and_serve, BatchConfig, LoadConfig, LoadMode,
-    ModelSpec, ServeConfig, Server, SnapshotRegistry, TrainAndServeConfig,
+use crossbow::fleet::{
+    run_fleet_load, train_into_fleet, Arrival, BatchConfig, CandidateMode, Fleet, FleetConfig,
+    FleetLoadReport, FleetTrainConfig, SloClass, StreamSpec,
 };
+use crossbow::nn::zoo::mlp;
+use crossbow::serve::{export_snapshot, load_into, ModelSpec, SnapshotRegistry};
 use crossbow::sync::sma::{Sma, SmaConfig};
 use crossbow::sync::TrainerConfig;
 use crossbow::tensor::{Precision, Rng};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// `clients` closed-loop callers of `requests` each against `model`.
+fn closed(model: &str, clients: usize, requests: usize) -> Vec<StreamSpec> {
+    let spec = StreamSpec {
+        model: model.to_string(),
+        class: SloClass::Standard,
+        arrival: Arrival::Closed,
+        requests,
+        deadline: Duration::from_millis(100),
+    };
+    vec![spec; clients]
+}
+
+/// The observed snapshot version range of a load run.
+fn versions(load: &FleetLoadReport) -> (u64, u64) {
+    let min = load.streams.iter().map(|s| s.min_version).min();
+    let max = load.streams.iter().map(|s| s.max_version).max();
+    (min.unwrap_or(0), max.unwrap_or(0))
+}
 
 fn main() {
     println!("CROSSBOW serve tour");
@@ -41,15 +61,20 @@ fn main() {
         .expect("initial model fits");
     println!("published version {v1} ({} parameters)", net.param_len());
 
-    // -- 2. A server with micro-batching ---------------------------------
-    let mut config = ServeConfig::new(2);
-    config.batch = BatchConfig {
-        max_batch: 8,
-        max_delay: Duration::from_millis(1),
-        ..BatchConfig::default()
+    // -- 2. A one-model fleet with micro-batching -----------------------
+    let config = FleetConfig {
+        batch: BatchConfig {
+            max_batch: 8,
+            max_delay: Duration::from_millis(1),
+            ..BatchConfig::default()
+        },
+        initial_workers: 2,
+        ..FleetConfig::default()
     };
-    let server = Server::start(Arc::clone(&net), Arc::clone(&registry), config);
-    let client = server.client();
+    let fleet = Fleet::builder(config)
+        .model_with_registry("tour", Arc::clone(&net), Arc::clone(&registry))
+        .start();
+    let client = fleet.client();
 
     let (train_set, test_set) = gaussian_mixture(4, 6, 2304, 0.25, 8)
         .split_at(2048)
@@ -63,7 +88,14 @@ fn main() {
         .map(<[f32]>::to_vec)
         .collect();
 
-    let one = client.call(inputs[0].clone()).expect("server up");
+    let one = client
+        .call(
+            "tour",
+            inputs[0].clone(),
+            SloClass::Interactive,
+            Duration::from_millis(100),
+        )
+        .expect("fleet up");
     println!(
         "one request     : class {} from snapshot v{} in {:?}",
         one.class, one.version, one.latency
@@ -73,26 +105,16 @@ fn main() {
     let v2 = registry
         .publish(net.init_params(&mut rng), 50)
         .expect("same shape republished");
-    let load = LoadConfig {
-        mode: LoadMode::Closed {
-            clients: 4,
-            requests_per_client: 50,
-        },
-        seed: 3,
-        panic_client: None,
-    };
-    let result = run_load(&client, &inputs, &load);
+    let load = run_fleet_load(&client, &inputs, &closed("tour", 4, 50), 3);
+    let (lo, hi) = versions(&load);
     println!(
-        "after swap to v{v2}: {} ok, {} rejected, {} failed, versions {}..{} (monotonic: {})",
-        result.ok,
-        result.rejected,
-        result.failed,
-        result.min_version,
-        result.max_version,
-        result.versions_monotonic
+        "after swap to v{v2}: {} ok / {} submitted, versions {lo}..{hi} (monotonic: {})",
+        load.total_ok(),
+        load.streams.iter().map(|s| s.submitted).sum::<u64>(),
+        load.versions_monotonic()
     );
-    let report = server.shutdown();
-    println!("server report   : {}", report.summary());
+    let report = fleet.shutdown();
+    println!("fleet report    : {}", report.models[0].summary());
 
     // -- 4. Snapshots round-trip through the checkpoint store ------------
     let dir = std::env::temp_dir().join(format!("crossbow-serve-tour-{}", std::process::id()));
@@ -108,21 +130,22 @@ fn main() {
 
     // -- 5. Train and serve at once --------------------------------------
     let mut algo = Sma::new(net.init_params(&mut rng), 4, SmaConfig::default());
-    let ts_config = TrainAndServeConfig {
+    let live = Fleet::builder(FleetConfig {
+        initial_workers: 2,
+        ..FleetConfig::default()
+    })
+    .model("live", Arc::clone(&net))
+    .start();
+    let ts_config = FleetTrainConfig {
+        live_model: "live".into(),
         trainer: TrainerConfig::new(16, 4).with_seed(7),
         publish_every: 10,
-        serve: ServeConfig::new(2),
-        load: LoadConfig {
-            mode: LoadMode::Closed {
-                clients: 2,
-                requests_per_client: 50,
-            },
-            seed: 13,
-            panic_client: None,
-        },
+        load: closed("live", 2, 50),
+        seed: 13,
         precision: Precision::F32,
     };
-    let combined = train_and_serve(&net, &train_set, &test_set, &mut algo, &ts_config);
+    let combined = train_into_fleet(live, &net, &train_set, &test_set, &mut algo, &ts_config);
+    let (lo, hi) = versions(&combined.load);
     println!();
     println!("train-and-serve:");
     println!(
@@ -130,14 +153,17 @@ fn main() {
         combined.curve.iterations, combined.curve.final_accuracy
     );
     println!(
-        "  load          : {} ok / {} submitted, versions {}..{} (monotonic: {})",
-        combined.load.ok,
-        combined.load.submitted,
-        combined.load.min_version,
-        combined.load.max_version,
-        combined.load.versions_monotonic
+        "  load          : {} ok / {} submitted, versions {lo}..{hi} (monotonic: {})",
+        combined.load.total_ok(),
+        combined
+            .load
+            .streams
+            .iter()
+            .map(|s| s.submitted)
+            .sum::<u64>(),
+        combined.load.versions_monotonic()
     );
-    println!("  server        : {}", combined.serve.summary());
+    println!("  fleet         : {}", combined.fleet.models[0].summary());
 
     // -- 6. An int8 candidate through the canary route -------------------
     // Serve the trained f32 model from a one-model fleet, quantize it to
@@ -173,10 +199,10 @@ fn main() {
             CandidateMode::Canary { percent: 25 },
         )
         .expect("spec matches");
-    let fclient = fleet.client();
+    let client = fleet.client();
     let mut canary_hits = 0;
     for input in &inputs {
-        let p = fclient
+        let p = client
             .call(
                 "tour",
                 input.clone(),

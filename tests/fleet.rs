@@ -1,15 +1,16 @@
-//! Integration tests for the serving fleet: SLO-ordered shedding under
-//! overload, lossless canary promotion mid-load, an autoscaler that
-//! moves both ways, and a live trainer feeding one model of a fleet.
+//! Integration tests for the serving fleet: micro-batching beats
+//! per-request dispatch, hot swaps lose nothing, SLO-ordered shedding
+//! under overload, lossless canary promotion mid-load, an autoscaler
+//! that moves both ways, a live trainer feeding one model of a fleet,
+//! and load flags the CLI refuses.
 
 use crossbow::data::synth::gaussian_mixture;
 use crossbow::fleet::{
-    run_fleet_load, train_into_fleet, Arrival, AutoscalerConfig, CandidateMode, Fleet, FleetConfig,
-    FleetLoadReport, FleetTrainConfig, SloClass, StreamSpec,
+    run_fleet_load, train_into_fleet, Arrival, AutoscalerConfig, BatchConfig, CandidateMode, Fleet,
+    FleetConfig, FleetLoadReport, FleetTrainConfig, SloClass, StreamSpec,
 };
 use crossbow::nn::zoo::mlp;
 use crossbow::nn::Network;
-use crossbow::serve::BatchConfig;
 use crossbow::sync::sma::{Sma, SmaConfig};
 use crossbow::sync::TrainerConfig;
 use crossbow::telemetry::Telemetry;
@@ -80,6 +81,134 @@ fn tight_config() -> FleetConfig {
         autoscaler: None,
         telemetry: None,
     }
+}
+
+/// A one-model fleet of a wider mlp with v1 published, plus request
+/// payloads for it.
+fn served_mlp(seed: u64, config: FleetConfig) -> (Fleet, Arc<Network>, Vec<Vec<f32>>) {
+    let net = Arc::new(mlp(64, &[256, 256], 10));
+    let fleet = Fleet::builder(config)
+        .model("mlp", Arc::clone(&net))
+        .start();
+    let mut rng = Rng::new(seed);
+    fleet
+        .registry("mlp")
+        .expect("registered")
+        .publish(net.init_params(&mut rng), 0)
+        .expect("params fit the spec");
+    let inputs: Vec<Vec<f32>> = (0..32)
+        .map(|_| (0..64).map(|_| rng.normal()).collect())
+        .collect();
+    (fleet, net, inputs)
+}
+
+/// Coalescing eight concurrent callers into one forward pass must beat
+/// dispatching them one at a time. A fixed synthetic per-batch cost makes
+/// the comparison deterministic: with one worker and a 2 ms charge per
+/// batch, per-request dispatch pays the charge 320 times while an
+/// 8-deep micro-batch pays it roughly 40 times.
+#[test]
+fn micro_batching_beats_per_request_dispatch() {
+    let specs = vec![closed("mlp", SloClass::Standard, 40, 5_000); 8];
+    let run = |batch: BatchConfig| {
+        let (fleet, _, inputs) = served_mlp(7, {
+            FleetConfig {
+                batch,
+                initial_workers: 1,
+                synthetic_delay: Some(Duration::from_millis(2)),
+                ..FleetConfig::default()
+            }
+        });
+        let load = run_fleet_load(&fleet.client(), &inputs, &specs, 9);
+        let report = fleet.shutdown();
+        assert!(all_answered(&load), "{}", load.summary());
+        assert_eq!(
+            load.total_ok(),
+            320,
+            "the queue is deep enough for 8 callers"
+        );
+        let m = report.model("mlp").expect("registered").clone();
+        let throughput = load.total_ok() as f64 / load.wall.as_secs_f64();
+        (throughput, m.completed as f64 / m.batches as f64)
+    };
+
+    let (unbatched, unbatched_mean) = run(BatchConfig::unbatched());
+    let (batched, batched_mean) = run(BatchConfig {
+        max_batch: 8,
+        max_delay: Duration::from_millis(1),
+        ..BatchConfig::default()
+    });
+
+    assert!((unbatched_mean - 1.0).abs() < 1e-9);
+    assert!(
+        batched_mean > 2.0,
+        "coalescing happened: mean batch {batched_mean:.2}"
+    );
+    assert!(
+        batched > unbatched,
+        "micro-batching must beat batch=1: {batched:.0} vs {unbatched:.0} req/s"
+    );
+}
+
+/// Publishing fresh snapshots in the middle of a load run must be
+/// invisible to clients except as rising versions: nothing drops,
+/// nothing fails, and no closed-loop caller ever sees a version regress.
+#[test]
+fn hot_swap_mid_load_loses_nothing() {
+    let config = FleetConfig {
+        initial_workers: 2,
+        synthetic_delay: Some(Duration::from_micros(500)),
+        ..FleetConfig::default()
+    };
+    let (fleet, net, inputs) = served_mlp(11, config);
+    let registry = fleet.registry("mlp").expect("registered");
+    let fresh = net.init_params(&mut Rng::new(99));
+    let client = fleet.client();
+    let specs = vec![closed("mlp", SloClass::Standard, 100, 5_000); 4];
+    let load = std::thread::scope(|scope| {
+        let publisher = scope.spawn(|| {
+            for publication in 0..5 {
+                std::thread::sleep(Duration::from_millis(10));
+                registry
+                    .publish(fresh.clone(), 10 * (publication + 1))
+                    .expect("same shape republished");
+            }
+        });
+        let load = run_fleet_load(&client, &inputs, &specs, 3);
+        publisher.join().expect("publisher panicked");
+        load
+    });
+
+    assert!(all_answered(&load), "{}", load.summary());
+    assert_eq!(
+        load.total_ok(),
+        400,
+        "zero dropped requests across hot swaps"
+    );
+    assert!(load.versions_monotonic(), "versions regressed mid-load");
+    let min = load.streams.iter().map(|s| s.min_version).min().unwrap();
+    let max = load.streams.iter().map(|s| s.max_version).max().unwrap();
+    assert!(
+        max > min,
+        "the load must actually straddle a swap: saw only version {max}"
+    );
+
+    // After every publication, a fresh request is answered by the newest
+    // snapshot.
+    let latest = client
+        .call(
+            "mlp",
+            inputs[0].clone(),
+            SloClass::Standard,
+            Duration::from_secs(5),
+        )
+        .expect("serving still up");
+    assert_eq!(latest.version, registry.version());
+    assert_eq!(registry.version(), 6);
+    let report = fleet.shutdown();
+    let m = report.model("mlp").expect("registered");
+    assert_eq!((m.completed, m.rejected, m.shed), (401, 0, 0));
+    assert_eq!(m.max_version, 6);
 }
 
 /// (a) + (b): under an open-loop Batch flood, every admitted request is
@@ -296,12 +425,22 @@ fn a_live_trainer_feeds_one_fleet_model_mid_load() {
             closed("static", SloClass::Standard, 25, 500),
         ],
         seed: 21,
+        precision: Precision::F32,
     };
     let report = train_into_fleet(fleet, &net, &train_set, &test_set, &mut algo, &config);
 
     assert!(all_answered(&report.load), "{}", report.load.summary());
     assert!(report.load.versions_monotonic());
+    let live_streams = report.load.streams.iter().filter(|s| s.model == "live");
+    let seen_min = live_streams.clone().map(|s| s.min_version).min().unwrap();
+    let seen_max = live_streams.map(|s| s.max_version).max().unwrap();
+    assert!(
+        seen_max > seen_min,
+        "training published fresh snapshots mid-load: versions {seen_min}..{seen_max}"
+    );
+    assert_eq!(report.fleet.total_completed(), report.load.total_ok());
     let live = report.fleet.model("live").expect("registered");
+    assert_eq!(live.rejected + live.shed, 0);
     assert!(
         live.max_version > 1,
         "the trainer published mid-load: {live:?}"
@@ -313,6 +452,65 @@ fn a_live_trainer_feeds_one_fleet_model_mid_load() {
         "the static sibling is undisturbed"
     );
     assert!(report.curve.iterations > 0);
+}
+
+/// The one-model shape `crossbow serve` runs: a live trainer publishes
+/// fresh f32 snapshots under closed load, clients see monotonically
+/// increasing versions and lose nothing, and the final model is
+/// published at the requested int8 precision with a measured accuracy
+/// delta.
+#[test]
+fn a_live_trainer_publishes_fresh_models_under_load() {
+    // Big enough that training genuinely overlaps the load: the first
+    // load round must complete requests while early versions are still
+    // current, or the mid-load straddle below would be vacuous.
+    let net = Arc::new(mlp(64, &[256, 256], 10));
+    let (train_set, test_set) = gaussian_mixture(10, 64, 2176, 0.3, 5)
+        .split_at(2048)
+        .expect("split in range");
+    let fleet = Fleet::builder(FleetConfig {
+        initial_workers: 2,
+        ..FleetConfig::default()
+    })
+    .model("mlp", Arc::clone(&net))
+    .start();
+    let registry = fleet.registry("mlp").expect("registered");
+    let mut rng = Rng::new(5);
+    let mut algo = Sma::new(net.init_params(&mut rng), 4, SmaConfig::default());
+    let config = FleetTrainConfig {
+        live_model: "mlp".into(),
+        trainer: TrainerConfig::new(16, 4).with_seed(5),
+        publish_every: 2,
+        load: vec![closed("mlp", SloClass::Standard, 25, 5_000); 2],
+        seed: 13,
+        precision: Precision::Int8,
+    };
+    let report = train_into_fleet(fleet, &net, &train_set, &test_set, &mut algo, &config);
+
+    assert!(report.curve.iterations > 0, "the trainer ran");
+    assert!(all_answered(&report.load), "{}", report.load.summary());
+    assert!(
+        report.load.total_ok() >= 50,
+        "at least one full round completed"
+    );
+    assert!(
+        report.load.versions_monotonic(),
+        "a client saw a version regress"
+    );
+    let streams = &report.load.streams;
+    let seen_min = streams.iter().map(|s| s.min_version).min().unwrap();
+    let seen_max = streams.iter().map(|s| s.max_version).max().unwrap();
+    assert!(
+        seen_max > seen_min,
+        "training published fresh snapshots mid-load: versions {seen_min}..{seen_max}"
+    );
+    let m = report.fleet.model("mlp").expect("registered");
+    assert_eq!(m.rejected + m.shed, 0);
+    assert_eq!(m.completed, report.load.total_ok());
+    assert!(m.max_version >= seen_max);
+    let last = registry.current().expect("published");
+    assert_eq!(last.precision, Precision::Int8);
+    assert!(last.quant.is_some() && last.accuracy_delta.is_some());
 }
 
 /// An int8 candidate staged at 100% canary answers every request with
@@ -394,4 +592,28 @@ fn quantized_canary_serves_exactly_and_survives_promotion() {
     let report = fleet.shutdown();
     let m = report.model(&model).expect("registered");
     assert_eq!(m.canary_served, 32, "exactly the pre-promotion requests");
+}
+
+/// Load flags that describe no runnable load are usage errors: the CLI
+/// prints `error: ...` and exits 1 instead of panicking in a load thread.
+#[test]
+fn load_flags_that_cannot_run_are_usage_errors() {
+    let cases: [&[&str]; 6] = [
+        &["serve", "--mode", "open", "--rate", "0"],
+        &["serve", "--requests", "0"],
+        &["serve", "--clients", "0"],
+        &["serve", "--mode", "open", "--rate", "NaN"],
+        &["fleet", "--rate", "0"],
+        &["fleet", "--rate", "-5"],
+    ];
+    for args in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_crossbow"))
+            .args(args)
+            .output()
+            .expect("crossbow runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("error: --"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
 }

@@ -99,8 +99,10 @@ rm -rf "$DATA_DIR"
 
 echo "== memory-plan bench smoke =="
 # Smoke-sized run of the §4.5 micro-benchmarks. membench exits non-zero
-# if the arena allocation counter is not flat across iteration counts —
-# the CI assertion that the training hot path performs no steady-state
+# if the arena allocation counter of the product trainer
+# (`sync::train_with_source` over `LocalGradients`, SMA on the ResNet-32
+# zoo model, k=2, b=16) is not flat across iteration counts — the CI
+# assertion that the training hot path performs no steady-state
 # allocations — if an mmap-shard gather is not bit-identical to the
 # same gather from RAM (the §14 data-plane invariant), if a fleet
 # serving run leaves an admitted request unanswered (the §15 invariant;

@@ -2,8 +2,8 @@
 //!
 //! Measures the packed GEMM against the naive kernel (serial and
 //! multi-threaded) and the end-to-end CPU train-step throughput of the
-//! concurrent runtime on the ResNet-style zoo model, and writes the
-//! results as JSON:
+//! product trainer (`sync::trainer`) on the ResNet-style zoo model, and
+//! writes the results as JSON:
 //!
 //! * `BENCH_gemm.json` — ns/iter and GFLOP/s per kernel and size,
 //!   including one row per SIMD micro-kernel tier (scalar/avx2/avx512)
@@ -31,12 +31,12 @@
 //! (`ci.sh` runs `membench --smoke`).
 
 use crossbow::benchmark::Benchmark;
-use crossbow::exec_cpu::{train_concurrent, CpuEngineConfig};
 use crossbow::fleet::BatchConfig;
 use crossbow::fleet::{
     run_fleet_load, Arrival, AutoscalerConfig, Fleet, FleetConfig, SloClass, StreamSpec,
 };
 use crossbow::nn::zoo::mlp;
+use crossbow::sync::{train_with_source, LocalGradients, Sma, SmaConfig, TrainerConfig};
 use crossbow_telemetry::Telemetry;
 use crossbow_tensor::gemm::{gemm_naive, gemm_parallel, gemm_ws, with_kernel};
 use crossbow_tensor::{GemmKernel, Rng, Workspace};
@@ -376,26 +376,32 @@ fn bench_infer(smoke: bool, out_dir: &str) -> std::io::Result<bool> {
     Ok(fallback_identical)
 }
 
-/// Runs the concurrent CPU engine on the ResNet-style zoo model and
-/// returns `(samples/s, ns per global step, arena allocation count,
-/// arena high-water bytes, arena reuse hits)`.
+/// Trains the ResNet-32 zoo model with SMA through the product trainer
+/// (`train_with_source` over `LocalGradients`, as `crossbow train` runs
+/// it) and returns `(samples/s, ns per global step, arena allocation
+/// count, arena high-water bytes, arena reuse hits)`. Wall time covers
+/// building the gradient source through the trainer's return.
 fn train_step_run(epochs: usize, learners: usize, batch: usize) -> (f64, f64, u64, u64, u64) {
     let bench = Benchmark::resnet32();
     let net = bench.network();
     let (train_set, test_set) = bench.dataset(9);
-    let telemetry = Telemetry::disabled();
-    let mut cfg = CpuEngineConfig::new(learners, batch);
-    cfg.max_epochs = epochs;
-    cfg.telemetry = Some(telemetry.clone());
+    let seed = 42;
+    let init = net.init_params(&mut Rng::new(seed ^ 0xC0FFEE));
+    let mut algo = Sma::new(init, learners, SmaConfig::default());
+    let cfg = TrainerConfig::new(batch, epochs)
+        .with_schedule(bench.schedule())
+        .with_seed(seed);
     let start = Instant::now();
-    let report = train_concurrent(&net, &train_set, &test_set, &cfg).expect("train");
+    let mut source = LocalGradients::new(&net, learners, &cfg);
+    let curve = train_with_source(&net, &train_set, &test_set, &mut algo, &cfg, &mut source);
     let elapsed = start.elapsed().as_nanos() as f64;
+    let arena = source.workspace_stats();
     (
-        report.throughput,
-        elapsed / report.iterations.max(1) as f64,
-        telemetry.metrics.counter("memory.arena_alloc").get(),
-        telemetry.metrics.gauge("memory.arena_bytes").max(),
-        telemetry.metrics.gauge("memory.arena_reuse").max(),
+        curve.samples_processed as f64 / (elapsed / 1e9),
+        elapsed / curve.iterations.max(1) as f64,
+        arena.fresh_allocs,
+        arena.high_water as u64,
+        arena.reuse_hits,
     )
 }
 
@@ -416,6 +422,7 @@ fn bench_train_step(smoke: bool, out_dir: &str) -> std::io::Result<bool> {
         concat!(
             "{{\n  \"benchmark\": \"train_step\",\n",
             "  \"model\": \"resnet-32 (reduced zoo)\",\n",
+            "  \"runtime\": \"sync::train_with_source + LocalGradients, SMA\",\n",
             "  \"smoke\": {smoke},\n",
             "  \"learners\": {learners},\n",
             "  \"batch_per_learner\": {batch},\n",

@@ -52,18 +52,16 @@
 pub mod autotuner;
 pub mod benchmark;
 pub mod engine;
-pub mod exec_cpu;
 pub mod exec_sim;
 pub mod memory;
 
 pub use autotuner::AutoTuner;
 pub use benchmark::Benchmark;
 pub use engine::{RobustnessConfig, Session, SessionConfig, TrainingReport};
-pub use exec_cpu::{train_concurrent, CpuEngineConfig, CpuEngineReport};
 pub use exec_sim::{
     simulate, simulate_robust, EngineKind, FaultCounters, RobustSimConfig, SimConfig, SimReport,
 };
-pub use memory::{offline_plan, shared_plan, ExecMemoryPlan, MemoryPlan};
+pub use memory::{offline_plan, shared_plan, MemoryPlan};
 
 pub use crossbow_sync::CheckpointConfig;
 

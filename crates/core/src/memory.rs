@@ -17,8 +17,6 @@
 //!   of `m` staggered learners is far below `m×` a single learner's.
 
 use crossbow_nn::graph::OpGraph;
-use crossbow_nn::{NetPlan, Network, Scratch};
-use crossbow_tensor::Workspace;
 use std::collections::BTreeMap;
 
 /// The result of planning one or more learning tasks.
@@ -76,82 +74,6 @@ impl BufferPool {
         *self.free.entry(size).or_insert(0) += 1;
         debug_assert!(self.live_bytes >= size);
         self.live_bytes -= size;
-    }
-}
-
-/// An **executable** §4.5 memory plan.
-///
-/// The original [`MemoryPlan`] is a *stats* view: it reports how much a
-/// ref-count walk over the operator graph would save, but nothing consumes
-/// it at run time. `ExecMemoryPlan` closes that loop. It combines
-///
-/// * the per-layer element counts from [`Network::plan`] (what one training
-///   step actually checks out of a learner's arena), and
-/// * the ref-count walk over the operator graph (the offline and shared
-///   stats views),
-///
-/// and can **build** the pre-warmed per-learner [`Workspace`]/[`Scratch`]
-/// the CPU execution engine hands to each learner lane, so the very first
-/// iteration is served from the pool.
-#[derive(Clone, Debug)]
-pub struct ExecMemoryPlan {
-    net: NetPlan,
-    learners: usize,
-    offline: MemoryPlan,
-    shared: MemoryPlan,
-}
-
-impl ExecMemoryPlan {
-    /// Plans `learners` co-located learners of `net` at the given batch
-    /// size. The shared-pool view assumes the task scheduler's natural
-    /// half-graph stagger between learners.
-    pub fn new(net: &Network, batch: usize, learners: usize) -> Self {
-        assert!(learners > 0, "need at least one learner");
-        let graph = OpGraph::from_network(net, batch);
-        let stagger = graph.ops.len() / 2;
-        ExecMemoryPlan {
-            net: net.plan(batch),
-            learners,
-            offline: offline_plan(&graph),
-            shared: shared_plan(&graph, learners, stagger),
-        }
-    }
-
-    /// The per-learner executable plan (element counts per layer).
-    pub fn net_plan(&self) -> &NetPlan {
-        &self.net
-    }
-
-    /// Number of co-located learners this plan covers.
-    pub fn learners(&self) -> usize {
-        self.learners
-    }
-
-    /// Estimated arena bytes one learner's training step needs.
-    pub fn arena_bytes_per_learner(&self) -> usize {
-        self.net.arena_bytes()
-    }
-
-    /// Stats view of the single-learner ref-count walk.
-    pub fn offline_stats(&self) -> &MemoryPlan {
-        &self.offline
-    }
-
-    /// Stats view of the shared pool across all co-located learners.
-    pub fn shared_stats(&self) -> &MemoryPlan {
-        &self.shared
-    }
-
-    /// Builds one pre-warmed workspace for a learner lane.
-    pub fn build_workspace(&self) -> Workspace {
-        self.net.build_workspace()
-    }
-
-    /// Builds pre-warmed scratches for every learner lane.
-    pub fn build_scratches(&self, net: &Network) -> Vec<Scratch> {
-        (0..self.learners)
-            .map(|_| net.scratch_with_plan(&self.net))
-            .collect()
     }
 }
 
@@ -306,32 +228,29 @@ mod tests {
 
     #[test]
     fn exec_plan_builds_prewarmed_scratches() {
+        // The executable side of the plan: `Network::plan` sizes one
+        // learner's arena, and every lane scratch built from it starts
+        // pre-warmed, before its first training step.
         let net = resnet_small(3, 16, 10);
-        let plan = ExecMemoryPlan::new(&net, 8, 3);
-        assert_eq!(plan.learners(), 3);
-        assert!(plan.arena_bytes_per_learner() > 0);
-        // The stats views are exactly what the free planners report.
-        let g = OpGraph::from_network(&net, 8);
-        assert_eq!(plan.offline_stats(), &offline_plan(&g));
-        let scratches = plan.build_scratches(&net);
-        assert_eq!(scratches.len(), 3);
-        for s in &scratches {
+        let plan = net.plan(8);
+        assert!(plan.arena_bytes() > 0);
+        for _ in 0..3 {
+            let s = net.scratch_with_plan(&plan);
             assert!(
                 s.workspace_stats().bytes_free > 0,
                 "lane scratch is pre-warmed"
             );
         }
-        let ws = plan.build_workspace();
-        assert!(ws.bytes_held() > 0);
+        assert!(plan.build_workspace().bytes_held() > 0);
     }
 
     #[test]
     fn exec_plan_arena_tracks_batch_size() {
         let net = resnet_small(3, 16, 10);
-        let small = ExecMemoryPlan::new(&net, 4, 1);
-        let large = ExecMemoryPlan::new(&net, 8, 1);
-        assert!(large.arena_bytes_per_learner() > small.arena_bytes_per_learner());
-        assert_eq!(large.net_plan().batch, 8);
+        let small = net.plan(4);
+        let large = net.plan(8);
+        assert!(large.arena_bytes() > small.arena_bytes());
+        assert_eq!(large.batch, 8);
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //!   in-flight requests), fed either by a live trainer's
 //!   [`PublishHook`](crossbow_sync::PublishHook) or from a checkpoint
 //!   store;
-//! * [`snapshot`] — model exchange over the training checkpoint format
-//!   (export a snapshot durably, serve straight out of a training
-//!   checkpoint directory);
+//! * [`snapshot`] — serve straight out of a training checkpoint
+//!   directory;
 //! * [`quant_snapshot`] — the `CBQS` quantized snapshot format: a
 //!   versioned, checksummed, atomically-written inference artifact at
 //!   f32, bf16 or per-channel int8 precision, reassembled on load so the
@@ -27,4 +26,4 @@ pub mod snapshot;
 
 pub use quant_snapshot::{export_quant_snapshot, load_quant_into, QUANT_SNAPSHOT_FILE};
 pub use registry::{ModelSnapshot, ModelSpec, PublishError, SnapshotRegistry};
-pub use snapshot::{export_snapshot, load_into, ImportError, SNAPSHOT_ALGORITHM};
+pub use snapshot::{load_into, ImportError};

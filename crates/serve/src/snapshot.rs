@@ -1,25 +1,16 @@
-//! Checkpoint-backed snapshot exchange.
+//! Serving straight out of a training checkpoint directory.
 //!
-//! The PR-2 checkpoint format is the model-exchange medium between
-//! training and serving: a trainer (or [`export_snapshot`]) writes a
-//! `TrainingState` whose `algo.center` is the deployable consensus model
-//! `z`, and [`load_into`] publishes the newest valid one into a
-//! [`SnapshotRegistry`]. Because only `center` is read, a serving process
-//! can point directly at a live training checkpoint directory — the
-//! corruption fallback and atomic-write guarantees carry over for free.
+//! A trainer's checkpoint is a `TrainingState` whose `algo.center` is the
+//! deployable consensus model `z`; [`load_into`] publishes the newest
+//! valid one into a [`SnapshotRegistry`]. Because only `center` is read,
+//! a serving process can point directly at a live training checkpoint
+//! directory — the corruption fallback and atomic-write guarantees carry
+//! over for free. Exporting a served model is the job of the `CBQS`
+//! format ([`crate::quant_snapshot`]), at any precision.
 
-use crate::registry::{ModelSnapshot, SnapshotRegistry};
-use crossbow_checkpoint::{
-    AlgoState, CheckpointError, CheckpointStore, RetentionPolicy, TrainingState,
-};
+use crate::registry::SnapshotRegistry;
+use crossbow_checkpoint::{CheckpointError, CheckpointStore, RetentionPolicy};
 use std::path::Path;
-
-/// The `algorithm` tag of checkpoints written by [`export_snapshot`].
-///
-/// Distinct from every trainer algorithm name, and exported snapshots
-/// carry no RNG streams, so the trainer's `resume` can never mistake one
-/// for a resumable training state.
-pub const SNAPSHOT_ALGORITHM: &str = "serve-snapshot";
 
 /// Why a checkpointed model could not be imported.
 #[derive(Debug)]
@@ -57,33 +48,13 @@ impl From<CheckpointError> for ImportError {
     }
 }
 
-/// Durably exports a snapshot's weights into `dir` using the checkpoint
-/// format (atomic write, checksummed, epoch-boundary retention class).
-///
-/// # Errors
-/// [`CheckpointError::Io`] when the directory or file cannot be written.
-pub fn export_snapshot(dir: &Path, snapshot: &ModelSnapshot) -> Result<(), CheckpointError> {
-    let store = CheckpointStore::open(dir, RetentionPolicy::default())?;
-    let state = TrainingState {
-        algorithm: SNAPSHOT_ALGORITHM.to_string(),
-        iterations: snapshot.iteration,
-        algo: AlgoState {
-            center: snapshot.params.clone(),
-            ..AlgoState::default()
-        },
-        ..TrainingState::default()
-    };
-    store.save(&state, true)?;
-    Ok(())
-}
-
 /// Publishes the newest valid checkpointed model in `dir` into the
 /// registry. Returns the assigned registry version, or `None` when the
 /// directory holds no usable checkpoint (absent, empty, or all corrupt —
 /// the same fallback semantics the trainer's resume has).
 ///
-/// Accepts both [`export_snapshot`] output and live training checkpoints:
-/// either way `algo.center` is the deployable consensus model.
+/// Accepts a checkpoint of any training algorithm: `algo.center` is the
+/// deployable consensus model.
 ///
 /// # Errors
 /// [`ImportError::Checkpoint`] on I/O failure, [`ImportError::Mismatch`]
@@ -113,7 +84,11 @@ pub fn load_into(registry: &SnapshotRegistry, dir: &Path) -> Result<Option<u64>,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant_snapshot::{export_quant_snapshot, load_quant_into};
     use crate::registry::ModelSpec;
+    use crossbow_checkpoint::{AlgoState, TrainingState};
+    use crossbow_nn::zoo::mlp;
+    use crossbow_tensor::{Precision, Rng};
 
     fn spec(n: usize) -> ModelSpec {
         ModelSpec {
@@ -131,16 +106,21 @@ mod tests {
     fn export_then_import_round_trips_weights_and_iteration() {
         let dir = tmp("roundtrip");
         let _ = std::fs::remove_dir_all(&dir);
-        let registry = SnapshotRegistry::new(spec(3));
-        registry.publish(vec![1.0, 2.0, 3.0], 40).unwrap();
+        let net = mlp(2, &[3], 2);
+        let params = net.init_params(&mut Rng::new(3));
+        let registry = SnapshotRegistry::new(ModelSpec::of(&net));
+        registry.publish(params.clone(), 40).unwrap();
         let snapshot = registry.current().unwrap();
-        export_snapshot(&dir, &snapshot).expect("export");
+        export_quant_snapshot(&dir, &net, &snapshot).expect("export");
 
-        let fresh = SnapshotRegistry::new(spec(3));
-        let version = load_into(&fresh, &dir).expect("import").expect("present");
+        let fresh = SnapshotRegistry::new(ModelSpec::of(&net));
+        let version = load_quant_into(&fresh, &net, &dir)
+            .expect("import")
+            .expect("present");
         assert_eq!(version, 1);
         let imported = fresh.current().unwrap();
-        assert_eq!(imported.params, vec![1.0, 2.0, 3.0]);
+        assert_eq!(imported.precision, Precision::F32);
+        assert_eq!(imported.params, params);
         assert_eq!(imported.iteration, 40);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -159,9 +139,17 @@ mod tests {
     fn a_mismatched_checkpoint_is_refused() {
         let dir = tmp("mismatch");
         let _ = std::fs::remove_dir_all(&dir);
-        let registry = SnapshotRegistry::new(spec(3));
-        registry.publish(vec![0.0; 3], 1).unwrap();
-        export_snapshot(&dir, &registry.current().unwrap()).expect("export");
+        let store = CheckpointStore::open(&dir, RetentionPolicy::default()).unwrap();
+        let state = TrainingState {
+            algorithm: "sma".to_string(),
+            iterations: 1,
+            algo: AlgoState {
+                center: vec![0.0; 3],
+                ..AlgoState::default()
+            },
+            ..TrainingState::default()
+        };
+        store.save(&state, true).unwrap();
         let narrow = SnapshotRegistry::new(spec(2));
         match load_into(&narrow, &dir) {
             Err(ImportError::Mismatch {

@@ -20,7 +20,7 @@ use crossbow_data::{BatchSampler, PartitionPlan, PartitionSampler, SampleSource}
 use crossbow_nn::{Network, Scratch};
 use crossbow_telemetry::{Shard, SpanKind, Telemetry, HOST_DEVICE};
 use crossbow_tensor::stats::WindowedMedian;
-use crossbow_tensor::{RngState, Tensor};
+use crossbow_tensor::{RngState, Tensor, WorkspaceStats};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -1167,6 +1167,22 @@ impl<'a> LocalGradients<'a> {
             scratches,
         }
     }
+
+    /// Arena counters summed over every gradient thread's scratch. After
+    /// warm-up `fresh_allocs` stays flat however long training runs.
+    pub fn workspace_stats(&self) -> WorkspaceStats {
+        self.scratches.iter().map(Scratch::workspace_stats).fold(
+            WorkspaceStats::default(),
+            |sum, s| WorkspaceStats {
+                checkouts: sum.checkouts + s.checkouts,
+                reuse_hits: sum.reuse_hits + s.reuse_hits,
+                fresh_allocs: sum.fresh_allocs + s.fresh_allocs,
+                bytes_free: sum.bytes_free + s.bytes_free,
+                bytes_out: sum.bytes_out + s.bytes_out,
+                high_water: sum.high_water + s.high_water,
+            },
+        )
+    }
 }
 
 impl GradientSource for LocalGradients<'_> {
@@ -1579,6 +1595,91 @@ mod tests {
             &cfg,
             Some(st),
             &mut source,
+        );
+    }
+
+    /// SMA with `k` learners of batch `b` at a constant learning rate of
+    /// 0.1, trained for `epochs` epochs from a fixed initialisation.
+    fn sma_run(net: &Network, k: usize, b: usize, epochs: usize) -> (Sma, TrainerConfig) {
+        let init = net.init_params(&mut Rng::new(42 ^ 0xC0FFEE));
+        let cfg = TrainerConfig::new(b, epochs).with_schedule(LrSchedule::Constant { lr: 0.1 });
+        (Sma::new(init, k, SmaConfig::default()), cfg)
+    }
+
+    #[test]
+    fn concurrent_engine_learns() {
+        let (net, train_set, test_set) = setup();
+        let (mut algo, cfg) = sma_run(&net, 4, 8, 8);
+        let curve = train(&net, &train_set, &test_set, &mut algo, &cfg);
+        assert!(
+            curve.final_accuracy > 0.85,
+            "accuracy {}",
+            curve.final_accuracy
+        );
+        assert_eq!(curve.epoch_accuracy.len(), 8);
+    }
+
+    #[test]
+    fn deterministic_despite_threads() {
+        // Batches come from one sampler and corrections are summed in
+        // learner order, so the thread count cannot change the numerics.
+        let (net, train_set, test_set) = setup();
+        let run = |threads: usize| {
+            let (mut algo, mut cfg) = sma_run(&net, 3, 8, 4);
+            cfg.threads = threads;
+            train(&net, &train_set, &test_set, &mut algo, &cfg)
+        };
+        assert_eq!(run(1), run(0));
+    }
+
+    #[test]
+    fn iterations_count_global_syncs() {
+        let (net, train_set, test_set) = setup();
+        let (mut algo, cfg) = sma_run(&net, 2, 10, 3);
+        let curve = train(&net, &train_set, &test_set, &mut algo, &cfg);
+        // 400 samples / batch 10 = 40 batches/epoch, / 2 learners = 20
+        // iterations per epoch, x3 epochs. An epoch closes on the round
+        // that draws the first batch of the next shuffle, so the third
+        // evaluation follows round 3 x 20 + 1.
+        assert_eq!(curve.iterations, 61);
+    }
+
+    #[test]
+    fn single_learner_works() {
+        let (net, train_set, test_set) = setup();
+        let (mut algo, cfg) = sma_run(&net, 1, 16, 6);
+        let curve = train(&net, &train_set, &test_set, &mut algo, &cfg);
+        assert!(curve.final_accuracy > 0.8, "{}", curve.final_accuracy);
+    }
+
+    #[test]
+    fn target_is_recorded() {
+        let (net, train_set, test_set) = setup();
+        let (mut algo, cfg) = sma_run(&net, 2, 8, 12);
+        let cfg = cfg.with_target(0.8);
+        let curve = train(&net, &train_set, &test_set, &mut algo, &cfg);
+        let eta = curve.epochs_to_target.expect("easy target");
+        assert!(eta <= 12);
+    }
+
+    #[test]
+    fn arena_allocations_are_flat_across_iterations() {
+        // The §4.5 executable plan promises O(1) fresh arena allocations
+        // per gradient thread regardless of how long training runs:
+        // doubling the epoch count must not change the allocation counter.
+        let (net, train_set, test_set) = setup();
+        let allocs_for = |epochs: usize| {
+            let (mut algo, cfg) = sma_run(&net, 2, 8, epochs);
+            let mut source = LocalGradients::new(&net, algo.k(), &cfg);
+            train_with_source(&net, &train_set, &test_set, &mut algo, &cfg, &mut source);
+            source.workspace_stats().fresh_allocs
+        };
+        let short = allocs_for(2);
+        let long = allocs_for(4);
+        assert!(short > 0, "arena was used");
+        assert_eq!(
+            short, long,
+            "fresh arena allocations must not scale with iteration count"
         );
     }
 

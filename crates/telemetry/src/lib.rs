@@ -1,11 +1,11 @@
 //! Unified tracing and metrics for the Crossbow runtimes.
 //!
 //! Every runtime in the workspace — the simulator (`exec_sim`/`gpu-sim`),
-//! the concurrent CPU engine (`exec_cpu`), the synchronous trainer, the
-//! checkpointer, and the serving fleet — needs to answer the same
-//! question the paper answers with Figure 8: *where did the time go, and
-//! does synchronisation of iteration N overlap with learning of iteration
-//! N+1?* This crate is the shared substrate they all report against:
+//! the CPU trainer (`sync::trainer`), the checkpointer, and the serving
+//! fleet — needs to answer the same question the paper answers with
+//! Figure 8: *where did the time go, and does synchronisation of
+//! iteration N overlap with learning of iteration N+1?* This crate is the
+//! shared substrate they all report against:
 //!
 //! * [`Clock`] abstracts the time source: [`WallClock`] for real runs,
 //!   [`ManualClock`] for simulated nanoseconds, so spans from both render

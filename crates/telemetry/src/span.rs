@@ -22,7 +22,7 @@ pub enum SpanKind {
     /// difference, `reduce-local` style work).
     LocalSync,
     /// Inter-device/global synchronisation (all-reduce, average apply,
-    /// or the CPU engine's ordered aggregation + publish).
+    /// or the trainer's synchronisation step).
     GlobalSync,
     /// Checkpoint serialisation + durable write.
     CheckpointWrite,

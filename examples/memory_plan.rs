@@ -8,7 +8,7 @@
 //! ```
 
 use crossbow::benchmark::Benchmark;
-use crossbow::memory::{offline_plan, shared_plan, ExecMemoryPlan};
+use crossbow::memory::{offline_plan, shared_plan};
 use crossbow::nn::graph::OpGraph;
 use crossbow_tensor::Rng;
 
@@ -65,13 +65,14 @@ fn main() {
     println!();
     let learners = 2usize;
     let batch = 16usize;
-    let plan = ExecMemoryPlan::new(&net, batch, learners);
+    let plan = net.plan(batch);
     println!(
-        "planned arena: {:.2} MB per learner ({} learners)",
-        mb(plan.arena_bytes_per_learner()),
-        plan.learners(),
+        "planned arena: {:.2} MB per learner ({learners} learners)",
+        mb(plan.arena_bytes()),
     );
-    let mut scratches = plan.build_scratches(&net);
+    let mut scratches: Vec<_> = (0..learners)
+        .map(|_| net.scratch_with_plan(&plan))
+        .collect();
     let mut rng = Rng::new(42);
     let params = net.init_params(&mut rng);
     let mut grad = vec![0.0f32; net.param_len()];

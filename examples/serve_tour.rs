@@ -1,5 +1,5 @@
 //! Tour of the serving stack: snapshot hot-swap, micro-batching,
-//! checkpoint round-trips, the combined train-and-serve run, and a
+//! snapshot-file round-trips, the combined train-and-serve run, and a
 //! quantized int8 candidate staged through the fleet's canary route.
 //!
 //! ```sh
@@ -22,7 +22,7 @@ use crossbow::fleet::{
     FleetLoadReport, FleetTrainConfig, SloClass, StreamSpec,
 };
 use crossbow::nn::zoo::mlp;
-use crossbow::serve::{export_snapshot, load_into, ModelSpec, SnapshotRegistry};
+use crossbow::serve::{export_quant_snapshot, load_quant_into, ModelSpec, SnapshotRegistry};
 use crossbow::sync::sma::{Sma, SmaConfig};
 use crossbow::sync::TrainerConfig;
 use crossbow::tensor::{Precision, Rng};
@@ -116,15 +116,17 @@ fn main() {
     let report = fleet.shutdown();
     println!("fleet report    : {}", report.models[0].summary());
 
-    // -- 4. Snapshots round-trip through the checkpoint store ------------
+    // -- 4. Snapshots round-trip through a CBQS file ---------------------
     let dir = std::env::temp_dir().join(format!("crossbow-serve-tour-{}", std::process::id()));
     let snapshot = registry.current().expect("something published");
-    export_snapshot(&dir, &snapshot).expect("export");
+    let bytes = export_quant_snapshot(&dir, &net, &snapshot).expect("export");
     let restored = Arc::new(SnapshotRegistry::new(ModelSpec::of(&net)));
-    let version = load_into(&restored, &dir).expect("import").expect("found");
+    let version = load_quant_into(&restored, &net, &dir)
+        .expect("import")
+        .expect("found");
     println!(
-        "checkpoint trip : exported v{} -> fresh registry serves v{version}",
-        snapshot.version
+        "snapshot trip   : exported v{} ({} B, {}) -> fresh registry serves v{version}",
+        snapshot.version, bytes, snapshot.precision
     );
     let _ = std::fs::remove_dir_all(&dir);
 

@@ -21,6 +21,12 @@ cargo build --release --examples
 echo "== tests =="
 cargo test -q
 
+echo "== tests on the scalar GEMM tier =="
+# Default dispatch picks the fastest tier the CPU supports, so the crates
+# whose results ride on GEMM also run once with dispatch pinned to the
+# scalar fallback: every bit-identity and training test must hold there.
+CROSSBOW_GEMM_KERNEL=scalar cargo test -q -p crossbow-tensor -p crossbow-nn -p crossbow-sync
+
 echo "== distributed socket tests (wall-clock bounded) =="
 # The multi-process crash-recovery suite talks over real TCP sockets and
 # SIGKILLs worker processes; a wedged accept or a leaked child must be

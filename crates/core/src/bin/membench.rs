@@ -7,12 +7,15 @@
 //!
 //! * `BENCH_gemm.json` — ns/iter and GFLOP/s per kernel and size,
 //!   including one row per SIMD micro-kernel tier (scalar/avx2/avx512)
-//!   with a bits-match-scalar verdict;
+//!   with a bits-match-scalar verdict, for square sizes and for the
+//!   three GEMMs of each Dense layer of the benchmark's MLPs at batch
+//!   sizes 1–16;
 //! * `BENCH_infer.json` — quantized inference: eval samples/s, snapshot
 //!   bytes and accuracy delta vs f32 for each serving precision, plus a
 //!   scalar-fallback bit-identity verdict;
-//! * `BENCH_train_step.json` — samples/s, ns per global step and the
-//!   arena counters, including an allocation-flatness verdict;
+//! * `BENCH_train_step.json` — samples/s and ns per global step (median
+//!   and interquartile range over five runs) and the arena counters,
+//!   including an allocation-flatness verdict;
 //! * `BENCH_data.json` — shard-pack MB/s, mmap vs in-memory batch-gather
 //!   samples/s, and the prefetch io-wait overlap, including a
 //!   bit-identity verdict for disk vs RAM gathers;
@@ -38,7 +41,9 @@ use crossbow::fleet::{
 use crossbow::nn::zoo::mlp;
 use crossbow::sync::{train_with_source, LocalGradients, Sma, SmaConfig, TrainerConfig};
 use crossbow_telemetry::Telemetry;
-use crossbow_tensor::gemm::{gemm_naive, gemm_parallel, gemm_ws, with_kernel};
+use crossbow_tensor::gemm::{
+    gemm_at_ws, gemm_bt_ws, gemm_naive, gemm_parallel, gemm_ws, with_kernel,
+};
 use crossbow_tensor::{GemmKernel, Rng, Workspace};
 use std::sync::Arc;
 use std::time::Duration;
@@ -104,44 +109,12 @@ fn bench_gemm(smoke: bool, out_dir: &str) -> std::io::Result<bool> {
 
         // Per-tier packed GEMM: time each supported micro-kernel and
         // compare its output bits against the scalar fallback's.
-        let mut c_scalar = vec![0.0f32; n * n];
-        with_kernel(GemmKernel::Scalar, || {
-            gemm_ws(n, n, n, 1.0, &a, &b, 0.0, &mut c_scalar, &mut ws);
+        let tiers = per_tier(smoke, flops, &c, |c| {
+            gemm_ws(n, n, n, 1.0, &a, &b, 0.0, c, &mut ws)
         });
-        let mut kernel_rows = Vec::new();
-        let mut scalar_gflops = 0.0f64;
-        let mut best_simd_gflops = 0.0f64;
-        for kernel in GemmKernel::all() {
-            if !kernel.supported() {
-                continue;
-            }
-            let m = time_it(smoke, flops, || {
-                with_kernel(kernel, || {
-                    gemm_ws(n, n, n, 1.0, &a, &b, 0.0, &mut c, &mut ws);
-                });
-                std::hint::black_box(&c);
-            });
-            with_kernel(kernel, || {
-                gemm_ws(n, n, n, 1.0, &a, &b, 0.0, &mut c, &mut ws);
-            });
-            let same = c
-                .iter()
-                .zip(&c_scalar)
-                .all(|(x, y)| x.to_bits() == y.to_bits());
-            tiers_identical &= same;
-            if kernel == GemmKernel::Scalar {
-                scalar_gflops = m.gflops;
-            } else {
-                best_simd_gflops = best_simd_gflops.max(m.gflops);
-            }
-            kernel_rows.push(format!(
-                "\"{}\": {{\"ns_per_iter\": {:.1}, \"gflops\": {:.3}, \
-                 \"bits_match_scalar\": {same}}}",
-                kernel.name(),
-                m.ns_per_iter,
-                m.gflops,
-            ));
-        }
+        tiers_identical &= tiers.iter().all(|&(_, _, same)| same);
+        let scalar_gflops = tiers[0].1.gflops;
+        let best_simd_gflops = tiers[1..].iter().map(|t| t.1.gflops).fold(0.0, f64::max);
         let simd_speedup = if best_simd_gflops > 0.0 {
             best_simd_gflops / scalar_gflops
         } else {
@@ -176,10 +149,12 @@ fn bench_gemm(smoke: bool, out_dir: &str) -> std::io::Result<bool> {
             naive.ns_per_iter / packed.ns_per_iter,
             n = n,
             threads = threads,
-            kernels = kernel_rows.join(", "),
+            kernels = kernels_json(&tiers),
             simd_speedup = simd_speedup,
         ));
     }
+    let (dense_rows, dense_identical) = bench_dense_gemms(smoke, &mut ws);
+    tiers_identical &= dense_identical;
     let stats = ws.stats();
     let json = format!(
         concat!(
@@ -187,12 +162,14 @@ fn bench_gemm(smoke: bool, out_dir: &str) -> std::io::Result<bool> {
             "  \"kernel_detected\": \"{}\",\n",
             "  \"kernel_bit_identical\": {},\n",
             "  \"sizes\": [\n{}\n  ],\n",
+            "  \"dense\": [\n{}\n  ],\n",
             "  \"arena\": {{\"fresh_allocs\": {}, \"reuse_hits\": {}, \"high_water_bytes\": {}}}\n}}\n"
         ),
         smoke,
         detected.name(),
         tiers_identical,
         rows.join(",\n"),
+        dense_rows.join(",\n"),
         stats.fresh_allocs,
         stats.reuse_hits,
         stats.high_water,
@@ -201,6 +178,138 @@ fn bench_gemm(smoke: bool, out_dir: &str) -> std::io::Result<bool> {
     std::fs::write(&path, json)?;
     println!("wrote {path}");
     Ok(tiers_identical)
+}
+
+/// Times `gemm` (which writes into the buffer it is given) on every
+/// supported tier, scalar first, and compares each tier's output from
+/// `c0` with the scalar tier's bits.
+fn per_tier(
+    smoke: bool,
+    flops: f64,
+    c0: &[f32],
+    mut gemm: impl FnMut(&mut [f32]),
+) -> Vec<(GemmKernel, Measurement, bool)> {
+    let mut run = |kernel: GemmKernel, c: &mut [f32]| with_kernel(kernel, || gemm(c));
+    let mut scalar = c0.to_vec();
+    run(GemmKernel::Scalar, &mut scalar);
+    let mut tiers = Vec::new();
+    for kernel in GemmKernel::all().into_iter().filter(|k| k.supported()) {
+        let mut c = c0.to_vec();
+        run(kernel, &mut c);
+        let same = c
+            .iter()
+            .zip(&scalar)
+            .all(|(x, y)| x.to_bits() == y.to_bits());
+        let m = time_it(smoke, flops, || {
+            run(kernel, &mut c);
+            std::hint::black_box(&c);
+        });
+        tiers.push((kernel, m, same));
+    }
+    tiers
+}
+
+/// The members of a `"kernels"` JSON object: one per tier of `per_tier`.
+fn kernels_json(tiers: &[(GemmKernel, Measurement, bool)]) -> String {
+    tiers
+        .iter()
+        .map(|(kernel, m, same)| {
+            format!(
+                "\"{}\": {{\"ns_per_iter\": {:.1}, \"gflops\": {:.3}, \"bits_match_scalar\": {same}}}",
+                kernel.name(),
+                m.ns_per_iter,
+                m.gflops,
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(", ")
+}
+
+/// The Dense layers of the benchmark's models as `(model, in, out)`: the
+/// `train-smallbatch` MLP (32→64→8) and the fleet's 64→256→256→10.
+const DENSE_LAYERS: [(&str, usize, usize); 5] = [
+    ("smallbatch-mlp", 32, 64),
+    ("smallbatch-mlp", 64, 8),
+    ("fleet-mlp", 64, 256),
+    ("fleet-mlp", 256, 256),
+    ("fleet-mlp", 256, 10),
+];
+
+/// The three GEMMs of a Dense layer at batch `b`, named by pass, with the
+/// entry point each uses and its `(m, k, n)`.
+fn dense_passes(b: usize, inp: usize, out: usize) -> [(&'static str, &'static str, [usize; 3]); 3] {
+    [
+        ("forward", "gemm_bt", [b, inp, out]),
+        ("grad_weight", "gemm_at", [out, b, inp]),
+        ("grad_input", "gemm", [b, out, inp]),
+    ]
+}
+
+/// Runs one Dense-layer GEMM the way `Dense` does: `y = x W^T`,
+/// `dW += dY^T x` and `dX = dY W`, with `x: b x in`, `w: out x in` and
+/// `dy: b x out`.
+#[allow(clippy::too_many_arguments)]
+fn dense_gemm(
+    pass: &str,
+    [m, k, n]: [usize; 3],
+    x: &[f32],
+    w: &[f32],
+    dy: &[f32],
+    c: &mut [f32],
+    ws: &mut Workspace,
+) {
+    match pass {
+        "forward" => gemm_bt_ws(m, k, n, 1.0, x, w, 0.0, c, ws),
+        "grad_weight" => gemm_at_ws(m, k, n, 1.0, dy, x, 1.0, c, ws),
+        _ => gemm_ws(m, k, n, 1.0, dy, w, 0.0, c, ws),
+    }
+}
+
+/// Times the Dense-layer GEMMs of [`DENSE_LAYERS`] at small batch sizes
+/// on every supported tier, checking each tier's bits against the scalar
+/// tier's. Returns the JSON rows and whether every tier agreed.
+fn bench_dense_gemms(smoke: bool, ws: &mut Workspace) -> (Vec<String>, bool) {
+    let batches: &[usize] = if smoke { &[2] } else { &[1, 2, 4, 16] };
+    let mut rows = Vec::new();
+    let mut identical = true;
+    for &b in batches {
+        for (model, inp, out) in DENSE_LAYERS {
+            let mut rng = Rng::new(11);
+            let x: Vec<f32> = (0..b * inp).map(|_| rng.normal()).collect();
+            let w: Vec<f32> = (0..out * inp).map(|_| rng.normal()).collect();
+            let dy: Vec<f32> = (0..b * out).map(|_| rng.normal()).collect();
+            for (pass, entry, mkn) in dense_passes(b, inp, out) {
+                let c0: Vec<f32> = (0..mkn[0] * mkn[2]).map(|_| rng.normal()).collect();
+                let flops = 2.0 * (b * inp * out) as f64;
+                let tiers = per_tier(smoke, flops, &c0, |c| {
+                    dense_gemm(pass, mkn, &x, &w, &dy, c, ws)
+                });
+                identical &= tiers.iter().all(|&(_, _, same)| same);
+                println!(
+                    "dense {model} b={b} {inp}->{out} {pass} ({entry}): {}",
+                    tiers
+                        .iter()
+                        .map(|(k, m, same)| format!(
+                            "{k} {:.2} us{}",
+                            m.ns_per_iter / 1e3,
+                            if *same { "" } else { " (bits DIFFER)" }
+                        ))
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                );
+                rows.push(format!(
+                    "    {{\"model\": \"{model}\", \"batch\": {b}, \"in\": {inp}, \"out\": {out}, \
+                     \"pass\": \"{pass}\", \"gemm\": \"{entry}\", \"m\": {}, \"k\": {}, \"n\": {},\n     \
+                     \"kernels\": {{{}}}}}",
+                    mkn[0],
+                    mkn[1],
+                    mkn[2],
+                    kernels_json(&tiers),
+                ));
+            }
+        }
+    }
+    (rows, identical)
 }
 
 /// Benchmarks the quantized inference path: trains a small classifier,
@@ -405,17 +514,44 @@ fn train_step_run(epochs: usize, learners: usize, batch: usize) -> (f64, f64, u6
     )
 }
 
+/// Runs per `BENCH_train_step.json` figure: the file reports each
+/// figure's median and interquartile range over these runs.
+const TRAIN_STEP_RUNS: usize = 5;
+
+/// `(first quartile, median, third quartile)` of `values`, nearest rank.
+fn quartiles(values: &[f64]) -> (f64, f64, f64) {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = |q: f64| sorted[((q * sorted.len() as f64).ceil() as usize).max(1) - 1];
+    (rank(0.25), rank(0.5), rank(0.75))
+}
+
+/// A figure's median and spread as a JSON object.
+fn spread_json(values: &[f64]) -> String {
+    let (q1, median, q3) = quartiles(values);
+    format!(
+        "{{\"median\": {median:.2}, \"q1\": {q1:.2}, \"q3\": {q3:.2}, \"iqr\": {:.2}}}",
+        q3 - q1
+    )
+}
+
 fn bench_train_step(smoke: bool, out_dir: &str) -> std::io::Result<bool> {
     let (epochs, learners, batch) = if smoke { (1, 2, 16) } else { (4, 2, 16) };
-    let (throughput, ns_per_step, allocs, arena_bytes, reuse) =
-        train_step_run(epochs, learners, batch);
+    let runs: Vec<_> = (0..TRAIN_STEP_RUNS)
+        .map(|_| train_step_run(epochs, learners, batch))
+        .collect();
+    let throughputs: Vec<f64> = runs.iter().map(|r| r.0).collect();
+    let ns_per_steps: Vec<f64> = runs.iter().map(|r| r.1).collect();
+    let (_, _, allocs, arena_bytes, reuse) = runs[0];
     // Flatness: doubling the epoch count must not change the allocation
     // counter (§4.5: all steady-state buffers come from the arena).
     let (_, _, allocs_double, _, _) = train_step_run(2 * epochs, learners, batch);
     let flat = allocs > 0 && allocs == allocs_double;
+    let (q1, throughput, q3) = quartiles(&throughputs);
     println!(
-        "train-step (resnet-32 zoo, k={learners}, b={batch}): {throughput:.1} samples/s, \
-         {ns_per_step:.0} ns/step, arena allocs {allocs} ({}flat)",
+        "train-step (resnet-32 zoo, k={learners}, b={batch}, {TRAIN_STEP_RUNS} runs): \
+         median {throughput:.1} samples/s (IQR {q1:.1}–{q3:.1}), \
+         arena allocs {allocs} ({}flat)",
         if flat { "" } else { "NOT " },
     );
     let json = format!(
@@ -427,8 +563,9 @@ fn bench_train_step(smoke: bool, out_dir: &str) -> std::io::Result<bool> {
             "  \"learners\": {learners},\n",
             "  \"batch_per_learner\": {batch},\n",
             "  \"epochs\": {epochs},\n",
-            "  \"throughput_samples_per_s\": {throughput:.2},\n",
-            "  \"ns_per_step\": {ns_per_step:.1},\n",
+            "  \"runs\": {runs},\n",
+            "  \"throughput_samples_per_s\": {throughput},\n",
+            "  \"ns_per_step\": {ns_per_step},\n",
             "  \"arena\": {{\"alloc_events\": {allocs}, \"high_water_bytes\": {arena_bytes}, ",
             "\"reuse_hits\": {reuse}}},\n",
             "  \"allocation_flat\": {flat}\n}}\n"
@@ -437,8 +574,9 @@ fn bench_train_step(smoke: bool, out_dir: &str) -> std::io::Result<bool> {
         learners = learners,
         batch = batch,
         epochs = epochs,
-        throughput = throughput,
-        ns_per_step = ns_per_step,
+        runs = TRAIN_STEP_RUNS,
+        throughput = spread_json(&throughputs),
+        ns_per_step = spread_json(&ns_per_steps),
         allocs = allocs,
         arena_bytes = arena_bytes,
         reuse = reuse,

@@ -76,6 +76,56 @@ impl Conv2d {
     fn weight_len(&self) -> usize {
         self.c_out * self.c_in * self.kernel * self.kernel
     }
+
+    /// Accumulates dW and db sample by sample; with `input_grad` also
+    /// computes and returns dX (one more GEMM and a col2im per sample).
+    fn backward_impl(
+        &self,
+        params: &[f32],
+        grad_params: &mut [f32],
+        grad_output: &Tensor,
+        slot: &Slot,
+        ws: &mut Workspace,
+        input_grad: bool,
+    ) -> Option<Tensor> {
+        let input = &slot.tensors[0];
+        let batch = input.shape().dim(0);
+        let per_sample = Shape::new(&input.shape().dims()[1..]);
+        let g = self.geom(&per_sample);
+        let rows = g.col_rows();
+        let cols = g.col_cols();
+        let in_len = g.image_len();
+        let out_len = self.c_out * cols;
+        let (w, _) = params.split_at(self.weight_len());
+        let (gw, gb) = grad_params.split_at_mut(self.weight_len());
+        let mut col = ws.take(g.col_len());
+        let mut dx = input_grad.then(|| {
+            let dcol = ws.take(g.col_len());
+            (dcol, ws.take_tensor(input.shape().clone()))
+        });
+        for n in 0..batch {
+            let image = &input.data()[n * in_len..(n + 1) * in_len];
+            let dout = &grad_output.data()[n * out_len..(n + 1) * out_len];
+            // dW += dOut (c_out x cols) @ col^T
+            im2col(&g, image, &mut col);
+            gemm_bt_ws(self.c_out, cols, rows, 1.0, dout, &col, 1.0, gw, ws);
+            // db += row sums of dOut per channel
+            for (c, plane) in dout.chunks_exact(cols).enumerate() {
+                gb[c] += plane.iter().sum::<f32>();
+            }
+            if let Some((dcol, grad_in)) = dx.as_mut() {
+                // dCol = W^T @ dOut, then scatter to dInput
+                gemm_at_ws(rows, self.c_out, cols, 1.0, w, dout, 0.0, dcol, ws);
+                let dimage = &mut grad_in.data_mut()[n * in_len..(n + 1) * in_len];
+                col2im(&g, dcol, dimage);
+            }
+        }
+        ws.give(col);
+        dx.map(|(dcol, grad_in)| {
+            ws.give(dcol);
+            grad_in
+        })
+    }
 }
 
 impl Layer for Conv2d {
@@ -147,37 +197,19 @@ impl Layer for Conv2d {
         slot: &Slot,
         ws: &mut Workspace,
     ) -> Tensor {
-        let input = &slot.tensors[0];
-        let batch = input.shape().dim(0);
-        let per_sample = Shape::new(&input.shape().dims()[1..]);
-        let g = self.geom(&per_sample);
-        let rows = g.col_rows();
-        let cols = g.col_cols();
-        let in_len = g.image_len();
-        let out_len = self.c_out * cols;
-        let (w, _) = params.split_at(self.weight_len());
-        let (gw, gb) = grad_params.split_at_mut(self.weight_len());
-        let mut col = ws.take(g.col_len());
-        let mut dcol = ws.take(g.col_len());
-        let mut grad_in = ws.take_tensor(input.shape().clone());
-        for n in 0..batch {
-            let image = &input.data()[n * in_len..(n + 1) * in_len];
-            let dout = &grad_output.data()[n * out_len..(n + 1) * out_len];
-            // dW += dOut (c_out x cols) @ col^T
-            im2col(&g, image, &mut col);
-            gemm_bt_ws(self.c_out, cols, rows, 1.0, dout, &col, 1.0, gw, ws);
-            // db += row sums of dOut per channel
-            for (c, plane) in dout.chunks_exact(cols).enumerate() {
-                gb[c] += plane.iter().sum::<f32>();
-            }
-            // dCol = W^T @ dOut, then scatter to dInput
-            gemm_at_ws(rows, self.c_out, cols, 1.0, w, dout, 0.0, &mut dcol, ws);
-            let dimage = &mut grad_in.data_mut()[n * in_len..(n + 1) * in_len];
-            col2im(&g, &dcol, dimage);
-        }
-        ws.give(col);
-        ws.give(dcol);
-        grad_in
+        self.backward_impl(params, grad_params, grad_output, slot, ws, true)
+            .expect("the input gradient was requested")
+    }
+
+    fn backward_params(
+        &self,
+        params: &[f32],
+        grad_params: &mut [f32],
+        grad_output: &Tensor,
+        slot: &Slot,
+        ws: &mut Workspace,
+    ) {
+        self.backward_impl(params, grad_params, grad_output, slot, ws, false);
     }
 
     fn flops_per_sample(&self, input: &Shape) -> u64 {

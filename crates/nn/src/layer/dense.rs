@@ -118,9 +118,36 @@ impl Layer for Dense {
         slot: &Slot,
         ws: &mut Workspace,
     ) -> Tensor {
+        self.backward_params(params, grad_params, grad_output, slot, ws);
         let input = &slot.tensors[0];
         let b = batch_of(input, self.in_features);
         let (w, _) = params.split_at(self.weight_len());
+        // dX = dY @ W
+        let mut grad_in = ws.take_tensor(input.shape().clone());
+        gemm_ws(
+            b,
+            self.out_features,
+            self.in_features,
+            1.0,
+            grad_output.data(),
+            w,
+            0.0,
+            grad_in.data_mut(),
+            ws,
+        );
+        grad_in
+    }
+
+    fn backward_params(
+        &self,
+        _params: &[f32],
+        grad_params: &mut [f32],
+        grad_output: &Tensor,
+        slot: &Slot,
+        ws: &mut Workspace,
+    ) {
+        let input = &slot.tensors[0];
+        let b = batch_of(input, self.in_features);
         let (gw, gb) = grad_params.split_at_mut(self.weight_len());
         // dW += dY^T @ X   (dY is b x out stored row-major = k x m for gemm_at)
         gemm_at_ws(
@@ -140,20 +167,6 @@ impl Layer for Dense {
                 *g += d;
             }
         }
-        // dX = dY @ W
-        let mut grad_in = ws.take_tensor(input.shape().clone());
-        gemm_ws(
-            b,
-            self.out_features,
-            self.in_features,
-            1.0,
-            grad_output.data(),
-            w,
-            0.0,
-            grad_in.data_mut(),
-            ws,
-        );
-        grad_in
     }
 
     fn flops_per_sample(&self, _input: &Shape) -> u64 {

@@ -14,7 +14,9 @@
 //! * `forward` pushes whatever it needs into its `Slot` in a layer-defined
 //!   order; `backward` reads it back;
 //! * `backward` *accumulates* into `grad_params` (callers zero it once per
-//!   batch) and returns the gradient with respect to the layer input.
+//!   batch) and returns the gradient with respect to the layer input;
+//!   `backward_params` accumulates the same parameter gradients without
+//!   the input gradient (the network's first layer has no consumer for it).
 
 pub mod activation;
 pub mod conv2d;
@@ -110,6 +112,23 @@ pub trait Layer: Send + Sync {
         slot: &Slot,
         ws: &mut Workspace,
     ) -> Tensor;
+
+    /// Accumulates parameter gradients into `grad_params` exactly as
+    /// [`Layer::backward`] does, for a layer whose input gradient nobody
+    /// reads (the first layer of a network). Layers with a costly input
+    /// gradient override it to skip that work; the default runs the full
+    /// backward and recycles the input gradient.
+    fn backward_params(
+        &self,
+        params: &[f32],
+        grad_params: &mut [f32],
+        grad_output: &Tensor,
+        slot: &Slot,
+        ws: &mut Workspace,
+    ) {
+        let grad_in = self.backward(params, grad_params, grad_output, slot, ws);
+        ws.recycle(grad_in);
+    }
 
     /// Rough FLOPs per sample of one forward pass (for cost profiles).
     fn flops_per_sample(&self, input: &Shape) -> u64;

@@ -351,7 +351,7 @@ impl Network {
         let acc = accuracy(&logits, labels);
         scratch.ws.recycle(logits);
         grad.iter_mut().for_each(|g| *g = 0.0);
-        for (i, layer) in self.layers.iter().enumerate().rev() {
+        for (i, layer) in self.layers.iter().enumerate().skip(1).rev() {
             let next = layer.backward(
                 &params[self.offsets[i].clone()],
                 &mut grad[self.offsets[i].clone()],
@@ -361,6 +361,14 @@ impl Network {
             );
             scratch.ws.recycle(std::mem::replace(&mut upstream, next));
         }
+        // Nothing consumes the gradient with respect to the batch itself.
+        self.layers[0].backward_params(
+            &params[self.offsets[0].clone()],
+            &mut grad[self.offsets[0].clone()],
+            &upstream,
+            &scratch.slots[0],
+            &mut scratch.ws,
+        );
         scratch.ws.recycle(upstream);
         (loss, acc)
     }
@@ -608,6 +616,55 @@ mod tests {
         let (l2, _) = net.loss_and_grad(&params, &batch, &labels, &mut g2, &mut warm);
         assert_eq!(l1, l2, "pre-warming must not change results");
         assert_eq!(g1, g2);
+    }
+
+    /// `loss_and_grad` skips the first layer's input gradient. On a
+    /// dense-first, a conv-first and a residual network its parameter
+    /// gradients must be bit-equal to a backward pass that still computes
+    /// that input gradient.
+    #[test]
+    fn skipping_the_first_input_gradient_changes_no_bit() {
+        let nets = [
+            ("mlp", crate::zoo::mlp(32, &[64], 8), vec![2, 32]),
+            ("lenet", crate::zoo::lenet(1, 16, 10), vec![2, 1, 16, 16]),
+            (
+                "resnet-32 zoo",
+                crate::zoo::resnet_small(3, 16, 10),
+                vec![2, 3, 16, 16],
+            ),
+        ];
+        for (name, net, dims) in nets {
+            let mut rng = Rng::new(14);
+            let params = net.init_params(&mut rng);
+            let batch = Tensor::randn(Shape::new(&dims), 1.0, &mut rng);
+            let labels: Vec<usize> = (0..dims[0])
+                .map(|i| (3 * i + 1) % net.output_classes())
+                .collect();
+            let mut grad = vec![0.0f32; net.param_len()];
+            let mut scratch = net.scratch();
+            let (loss, _) = net.loss_and_grad(&params, &batch, &labels, &mut grad, &mut scratch);
+
+            let mut full = vec![0.0f32; net.param_len()];
+            let mut s = net.scratch();
+            let logits = net.forward(&params, &batch, &mut s, true);
+            let (full_loss, mut upstream) = softmax_cross_entropy_ws(&logits, &labels, &mut s.ws);
+            for (i, layer) in net.layers().iter().enumerate().rev() {
+                upstream = layer.backward(
+                    &params[net.param_range(i)],
+                    &mut full[net.param_range(i)],
+                    &upstream,
+                    &s.slots[i],
+                    &mut s.ws,
+                );
+            }
+            assert_eq!(upstream.shape(), batch.shape(), "{name}: input gradient");
+            assert_eq!(loss.to_bits(), full_loss.to_bits(), "{name}: loss");
+            let same = grad
+                .iter()
+                .zip(&full)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{name}: parameter gradients differ");
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@
 pub mod algorithm;
 pub mod asgd;
 pub mod hierarchical;
+mod lanes;
 pub mod optimizer;
 pub mod schedule;
 pub mod sma;

@@ -12,6 +12,7 @@
 //! in the `crossbow` crate; time-to-accuracy is their product.
 
 use crate::algorithm::{AlgoSnapshot, SyncAlgorithm};
+use crate::lanes::{Job, Lanes};
 use crate::schedule::LrSchedule;
 use crossbow_checkpoint::{
     AlgoState, CheckpointError, CheckpointStore, DataCursor, RetentionPolicy, TrainingState,
@@ -1128,14 +1129,17 @@ fn run(
     }
 }
 
-/// The in-process [`GradientSource`]: one plan-pre-warmed [`Scratch`] per
-/// gradient thread, built once before the training loop so steady-state
-/// iterations reuse every buffer instead of reallocating them (§4.5
-/// executable memory plan).
+/// The in-process [`GradientSource`]: persistent gradient lanes, each
+/// with one plan-pre-warmed [`Scratch`], built once before the training
+/// loop so steady-state iterations reuse every buffer and every thread
+/// instead of recreating them (§4.5 executable memory plan). Lane 0 is the
+/// thread that calls [`GradientSource::round`]; the other lanes' threads
+/// start in [`LocalGradients::new`] and are joined when the source drops.
 pub struct LocalGradients<'a> {
     net: &'a Network,
     weight_decay: f32,
     scratches: Vec<Scratch>,
+    lanes: Lanes,
 }
 
 impl<'a> LocalGradients<'a> {
@@ -1165,6 +1169,7 @@ impl<'a> LocalGradients<'a> {
             net,
             weight_decay: config.weight_decay,
             scratches,
+            lanes: Lanes::new(threads),
         }
     }
 
@@ -1186,9 +1191,10 @@ impl<'a> LocalGradients<'a> {
 }
 
 impl GradientSource for LocalGradients<'_> {
-    /// Computes one gradient per learner, distributing learners across the
-    /// source's threads. Gradients land in `grads` (fully overwritten),
-    /// per-batch training losses in `losses`.
+    /// Computes one gradient per learner: learner `j` runs on lane
+    /// `j % lanes` against that lane's scratch. Gradients land in `grads`
+    /// (fully overwritten), per-batch training losses in `losses`. Returns
+    /// once every lane has finished; a learner's panic is re-raised here.
     fn round(
         &mut self,
         algo: &mut dyn SyncAlgorithm,
@@ -1197,63 +1203,40 @@ impl GradientSource for LocalGradients<'_> {
         losses: &mut [f32],
     ) -> RoundStatus {
         let k = batches.len();
-        debug_assert_eq!(k, grads.len(), "one gradient lane per learner");
+        debug_assert_eq!(k, grads.len(), "one gradient buffer per learner");
         let net = self.net;
-        let replicas: Vec<&[f32]> = (0..k).map(|j| algo.replica(j)).collect();
-        let threads = self.scratches.len();
         let wd = self.weight_decay;
-        if threads <= 1 {
-            let scratch = &mut self.scratches[0];
-            for j in 0..k {
-                let batch = &batches[j];
-                let (loss, _) = net.loss_and_grad(
-                    replicas[j],
-                    &batch.images,
-                    &batch.labels,
-                    &mut grads[j],
-                    scratch,
-                );
-                losses[j] = loss;
-                if wd != 0.0 {
-                    crossbow_tensor::ops::axpy(wd, replicas[j], &mut grads[j]);
-                }
-            }
-        } else {
-            // Hand each thread an interleaved subset of learners.
-            let mut grad_slots: Vec<(usize, &mut Vec<f32>, &mut f32)> = grads
-                .iter_mut()
-                .zip(losses.iter_mut())
-                .enumerate()
-                .map(|(j, (g, l))| (j, g, l))
-                .collect();
-            std::thread::scope(|scope| {
-                let mut per_thread: Vec<Vec<(usize, &mut Vec<f32>, &mut f32)>> =
-                    (0..threads).map(|_| Vec::new()).collect();
-                for slot in grad_slots.drain(..) {
-                    per_thread[slot.0 % threads].push(slot);
-                }
-                for (thread_slots, scratch) in per_thread.into_iter().zip(self.scratches.iter_mut())
-                {
-                    let replicas = &replicas;
-                    scope.spawn(move || {
-                        for (j, grad, loss) in thread_slots {
-                            let batch = &batches[j];
-                            let (l, _) = net.loss_and_grad(
-                                replicas[j],
-                                &batch.images,
-                                &batch.labels,
-                                grad,
-                                scratch,
-                            );
-                            *loss = l;
-                            if wd != 0.0 {
-                                crossbow_tensor::ops::axpy(wd, replicas[j], grad);
-                            }
-                        }
-                    });
-                }
-            });
+        let replicas: Vec<&[f32]> = (0..k).map(|j| algo.replica(j)).collect();
+        let replicas = &replicas;
+        let lanes = self.lanes.len();
+        let mut learners: Vec<Vec<(usize, &mut Vec<f32>, &mut f32)>> =
+            (0..lanes.min(k)).map(|_| Vec::new()).collect();
+        for (j, (grad, loss)) in grads.iter_mut().zip(losses.iter_mut()).enumerate() {
+            learners[j % lanes].push((j, grad, loss));
         }
+        let jobs = learners
+            .into_iter()
+            .zip(self.scratches.iter_mut())
+            .map(|(learners, scratch)| {
+                Box::new(move || {
+                    for (j, grad, loss) in learners {
+                        let batch = &batches[j];
+                        let (l, _) = net.loss_and_grad(
+                            replicas[j],
+                            &batch.images,
+                            &batch.labels,
+                            grad,
+                            scratch,
+                        );
+                        *loss = l;
+                        if wd != 0.0 {
+                            crossbow_tensor::ops::axpy(wd, replicas[j], grad);
+                        }
+                    }
+                }) as Job<'_>
+            })
+            .collect();
+        self.lanes.run(jobs);
         RoundStatus::Done
     }
 }
@@ -1267,6 +1250,7 @@ mod tests {
     use crossbow_data::synth::gaussian_mixture;
     use crossbow_nn::zoo::mlp;
     use crossbow_tensor::Rng;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn setup() -> (Network, crossbow_data::Dataset, crossbow_data::Dataset) {
         let net = mlp(6, &[16], 4);
@@ -1623,13 +1607,116 @@ mod tests {
     fn deterministic_despite_threads() {
         // Batches come from one sampler and corrections are summed in
         // learner order, so the thread count cannot change the numerics.
+        // Five learners leave the lanes uneven at two and three threads.
         let (net, train_set, test_set) = setup();
         let run = |threads: usize| {
-            let (mut algo, mut cfg) = sma_run(&net, 3, 8, 4);
+            let (mut algo, mut cfg) = sma_run(&net, 5, 8, 4);
             cfg.threads = threads;
             train(&net, &train_set, &test_set, &mut algo, &cfg)
         };
-        assert_eq!(run(1), run(0));
+        let one = run(1);
+        for threads in [0, 2, 3] {
+            assert_eq!(one, run(threads), "threads = {threads}");
+        }
+    }
+
+    /// Runs one `LocalGradients` round on a fresh MLP with three learners
+    /// on two lanes, where learner `bad` gets a label past the last class,
+    /// and returns the panic message the round raised (`None` if it did
+    /// not panic). Fails if the round has not returned within 60 s.
+    fn round_with_bad_learner(bad: usize) -> Option<String> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let round_thread = std::thread::spawn(move || {
+            let net = mlp(6, &[16], 4);
+            let mut algo = Sma::new(net.init_params(&mut Rng::new(1)), 3, SmaConfig::default());
+            let cfg = TrainerConfig {
+                threads: 2,
+                ..TrainerConfig::new(2, 1)
+            };
+            let mut source = LocalGradients::new(&net, algo.k(), &cfg);
+            let batch = |label: usize| LearnerBatch {
+                images: Tensor::zeros([2, 6]),
+                labels: vec![0, label],
+                indices: vec![0, 1],
+            };
+            let batches: Vec<LearnerBatch> = (0..3)
+                .map(|j| batch(if j == bad { 9 } else { 1 }))
+                .collect();
+            let mut grads = vec![vec![0.0; net.param_len()]; 3];
+            let mut losses = vec![0.0; 3];
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                source.round(&mut algo, &batches, &mut grads, &mut losses)
+            }));
+            let message = outcome.err().map(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default()
+            });
+            // The lanes survive a learner's panic: a good round completes.
+            let batches: Vec<LearnerBatch> = (0..3).map(|_| batch(1)).collect();
+            source.round(&mut algo, &batches, &mut grads, &mut losses);
+            tx.send(message).expect("the test is waiting");
+        });
+        let message = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the round returned instead of hanging");
+        round_thread.join().expect("the round thread finished");
+        message
+    }
+
+    #[test]
+    fn a_learner_panic_reraises_on_the_caller() {
+        // Learner 1 runs on lane 1, a worker thread; learner 0 on lane 0,
+        // the caller itself.
+        for bad in [1, 0] {
+            let message = round_with_bad_learner(bad).expect("the round panicked");
+            assert!(
+                message.contains("label 9 out of range"),
+                "learner {bad}: {message}"
+            );
+        }
+    }
+
+    #[test]
+    fn dropping_local_gradients_joins_its_lanes() {
+        struct SetOnExit(Arc<AtomicBool>);
+        impl Drop for SetOnExit {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+            }
+        }
+        thread_local! {
+            static ON_EXIT: std::cell::RefCell<Option<SetOnExit>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        let (net, _, _) = setup();
+        let cfg = TrainerConfig {
+            threads: 3,
+            ..TrainerConfig::new(8, 1)
+        };
+        let mut source = LocalGradients::new(&net, 3, &cfg);
+        let flags: Vec<Arc<AtomicBool>> = (0..2).map(|_| Arc::default()).collect();
+        // Park an exit flag in each worker lane's thread-local storage;
+        // it is set when that thread exits.
+        let mut jobs: Vec<Job<'_>> = vec![Box::new(|| {})];
+        for flag in &flags {
+            let flag = Arc::clone(flag);
+            jobs.push(Box::new(move || {
+                ON_EXIT.with(|slot| *slot.borrow_mut() = Some(SetOnExit(flag)));
+            }));
+        }
+        source.lanes.run(jobs);
+        assert!(
+            flags.iter().all(|f| !f.load(Ordering::SeqCst)),
+            "lanes persist"
+        );
+        drop(source);
+        assert!(
+            flags.iter().all(|f| f.load(Ordering::SeqCst)),
+            "every lane thread has exited when the drop returns"
+        );
     }
 
     #[test]

@@ -29,8 +29,13 @@
 //! packed `B` strip across all `mr`-row strips, with unit-stride loads.
 //!
 //! The same micro-kernel serves the transposed variants: packing reads
-//! through a generic `(row stride, col stride)` view, so `A^T` and `B^T`
-//! never materialise.
+//! through a `(row stride, col stride)` view, so `A^T` and `B^T` never
+//! materialise. Every view has a unit stride on one axis, and the packing
+//! loop follows it: where a packed tile's column is contiguous in the
+//! source it is one slice copy; otherwise each source row is read as one
+//! contiguous run and scattered into the tile. A ragged edge tile is
+//! zero-filled once, not branched on per element. Packing only moves
+//! data, so the layout of the operands never changes a result bit.
 //!
 //! # Kernel tiers
 //!
@@ -247,6 +252,34 @@ struct View<'a> {
 }
 
 impl<'a> View<'a> {
+    /// A dense row-major matrix with `cols` columns.
+    fn row_major(data: &'a [f32], cols: usize) -> Self {
+        View {
+            data,
+            rs: cols,
+            cs: 1,
+        }
+    }
+
+    /// The transpose of a dense row-major matrix with `rows` logical rows
+    /// (`cols` stored rows of `rows` elements each).
+    fn transposed(data: &'a [f32], rows: usize) -> Self {
+        View {
+            data,
+            rs: 1,
+            cs: rows,
+        }
+    }
+
+    /// The same storage read as its transpose.
+    fn t(self) -> Self {
+        View {
+            data: self.data,
+            rs: self.cs,
+            cs: self.rs,
+        }
+    }
+
     #[inline(always)]
     fn at(&self, r: usize, c: usize) -> f32 {
         self.data[r * self.rs + c * self.cs]
@@ -280,54 +313,59 @@ pub fn gemm_naive(
     }
 }
 
-/// Packs an `rows_total x kc` sub-panel of `a` (rows `i0..i0+rows_total`,
-/// k `p0..p0+kc`) into `mr`-row tiles: tile-major, then `p`-major, then
-/// row within tile. Rows past the panel are zero-filled so the
-/// micro-kernel never branches.
-fn pack_a(
-    a: View<'_>,
-    i0: usize,
-    rows_total: usize,
-    p0: usize,
-    kc: usize,
-    mr: usize,
-    out: &mut [f32],
-) {
-    let tiles = rows_total.div_ceil(mr);
-    for t in 0..tiles {
-        let base = t * kc * mr;
-        let row0 = i0 + t * mr;
-        let rows = mr.min(i0 + rows_total - row0);
-        for p in 0..kc {
-            let dst = &mut out[base + p * mr..base + p * mr + mr];
-            for (r, d) in dst.iter_mut().enumerate() {
-                *d = if r < rows {
-                    a.at(row0 + r, p0 + p)
-                } else {
-                    0.0
-                };
-            }
+/// Packs rows `r0..r0 + rows` and columns `p0..p0 + kc` of `v` into
+/// `w`-row tiles: tile-major, then column-major, then row within the tile
+/// — the layout every micro-kernel streams. `A` panels pack this way
+/// directly (`w = mr`); a `B` panel packs as its transpose (`w = nr`,
+/// see [`View::t`]).
+///
+/// Every view the entry points build has a unit stride on one axis, and
+/// the copy loop follows it:
+///
+/// * unit row stride (`A` of [`gemm_at`], `B` of [`gemm`]/[`gemm_at`]):
+///   a tile column is `w` adjacent source elements, one slice copy;
+/// * unit column stride (`A` of [`gemm`]/[`gemm_bt`], `B` of
+///   [`gemm_bt`]): a tile row is `kc` adjacent source elements, read in
+///   one contiguous run and written `w` apart, four rows at a time.
+///
+/// A ragged last tile is zero-filled once before its rows are copied,
+/// so the micro-kernel never branches on padding. Every element of the
+/// packed tiles is written: the buffers come from `take_pack` with stale
+/// contents.
+fn pack(v: View<'_>, r0: usize, rows: usize, p0: usize, kc: usize, w: usize, out: &mut [f32]) {
+    let packed = &mut out[..rows.div_ceil(w) * kc * w];
+    for (t, tile) in packed.chunks_exact_mut(kc * w).enumerate() {
+        let first = r0 + t * w;
+        let valid = w.min(r0 + rows - first);
+        if valid < w {
+            tile.fill(0.0);
         }
-    }
-}
-
-/// Packs a `kc x nc` sub-panel of `b` (k `p0..p0+kc`, cols `j0..j0+nc`)
-/// into `nr`-column tiles: tile-major, then `p`-major, then column within
-/// tile. Columns past `nc` are zero-filled.
-fn pack_b(b: View<'_>, p0: usize, kc: usize, j0: usize, nc: usize, nr: usize, out: &mut [f32]) {
-    let tiles = nc.div_ceil(nr);
-    for t in 0..tiles {
-        let base = t * kc * nr;
-        let col0 = j0 + t * nr;
-        let cols = nr.min(j0 + nc - col0);
-        for p in 0..kc {
-            let dst = &mut out[base + p * nr..base + p * nr + nr];
-            for (cidx, d) in dst.iter_mut().enumerate() {
-                *d = if cidx < cols {
-                    b.at(p0 + p, col0 + cidx)
-                } else {
-                    0.0
-                };
+        if v.rs == 1 {
+            for (p, dst) in tile.chunks_exact_mut(w).enumerate() {
+                let src = first + (p0 + p) * v.cs;
+                dst[..valid].copy_from_slice(&v.data[src..src + valid]);
+            }
+        } else {
+            debug_assert_eq!(v.cs, 1, "packing views have a unit stride");
+            let run = |r: usize| {
+                let src = (first + r) * v.rs + p0;
+                &v.data[src..src + kc]
+            };
+            // Four source rows at a time: four contiguous reads and one
+            // four-element write per column.
+            let mut r = 0;
+            while r + 4 <= valid {
+                let runs: [&[f32]; 4] = std::array::from_fn(|i| run(r + i));
+                for (p, dst) in tile.chunks_exact_mut(w).enumerate() {
+                    dst[r..r + 4]
+                        .copy_from_slice(&[runs[0][p], runs[1][p], runs[2][p], runs[3][p]]);
+                }
+                r += 4;
+            }
+            for r in r..valid {
+                for (dst, &x) in tile.chunks_exact_mut(w).zip(run(r)) {
+                    dst[r] = x;
+                }
             }
         }
     }
@@ -599,10 +637,10 @@ fn packed_serial_into(
     let (mr, nr, mc_step) = (kernel.mr(), kernel.nr(), kernel.mc());
     for p0 in (0..k).step_by(KC) {
         let kc = KC.min(k - p0);
-        pack_b(b, p0, kc, 0, n, nr, b_pack);
+        pack(b.t(), 0, n, p0, kc, nr, b_pack);
         for i0 in (0..m).step_by(mc_step) {
             let mc = mc_step.min(m - i0);
-            pack_a(a, i0, mc, p0, kc, mr, a_pack);
+            pack(a, i0, mc, p0, kc, mr, a_pack);
             for jt in 0..n.div_ceil(nr) {
                 let j0 = jt * nr;
                 let cols = nr.min(n - j0);
@@ -837,16 +875,8 @@ pub fn gemm_ws(
     ws: &mut Workspace,
 ) {
     check_dims(m, k, n, a, b, c);
-    let av = View {
-        data: a,
-        rs: k,
-        cs: 1,
-    };
-    let bv = View {
-        data: b,
-        rs: n,
-        cs: 1,
-    };
+    let av = View::row_major(a, k);
+    let bv = View::row_major(b, n);
     packed_dispatch(m, k, n, alpha, av, bv, beta, c, ws);
 }
 
@@ -869,16 +899,8 @@ pub fn gemm_parallel(
     ws: &mut Workspace,
 ) {
     check_dims(m, k, n, a, b, c);
-    let av = View {
-        data: a,
-        rs: k,
-        cs: 1,
-    };
-    let bv = View {
-        data: b,
-        rs: n,
-        cs: 1,
-    };
+    let av = View::row_major(a, k);
+    let bv = View::row_major(b, n);
     let kernel = GemmKernel::active();
     if use_direct(m, k, n, bv) {
         direct_serial(m, k, n, alpha, av, bv, beta, c);
@@ -923,16 +945,8 @@ pub fn gemm_at_ws(
     assert_eq!(b.len(), k * n, "B dims mismatch");
     assert_eq!(c.len(), m * n, "C dims mismatch");
     // Logical A is m x k; element (i, p) of A^T lives at a[p * m + i].
-    let av = View {
-        data: a,
-        rs: 1,
-        cs: m,
-    };
-    let bv = View {
-        data: b,
-        rs: n,
-        cs: 1,
-    };
+    let av = View::transposed(a, m);
+    let bv = View::row_major(b, n);
     packed_dispatch(m, k, n, alpha, av, bv, beta, c, ws);
 }
 
@@ -969,17 +983,9 @@ pub fn gemm_bt_ws(
     assert_eq!(a.len(), m * k, "A dims mismatch");
     assert_eq!(b.len(), n * k, "B(T) dims mismatch");
     assert_eq!(c.len(), m * n, "C dims mismatch");
-    let av = View {
-        data: a,
-        rs: k,
-        cs: 1,
-    };
+    let av = View::row_major(a, k);
     // Logical B is k x n; element (p, j) of B^T lives at b[j * k + p].
-    let bv = View {
-        data: b,
-        rs: 1,
-        cs: k,
-    };
+    let bv = View::transposed(b, k);
     packed_dispatch(m, k, n, alpha, av, bv, beta, c, ws);
 }
 
@@ -1157,6 +1163,147 @@ mod tests {
                 assert_eq!(scalar.1, simd.1, "{kernel} A^T@B m={m} k={k} n={n}");
                 assert_eq!(scalar.2, simd.2, "{kernel} A@B^T m={m} k={k} n={n}");
                 assert_eq!(scalar.3, simd.3, "{kernel} parallel m={m} k={k} n={n}");
+            }
+        }
+    }
+
+    /// Row-major `cols x rows` transpose of a row-major `rows x cols`
+    /// matrix.
+    fn transpose(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+        let mut t = vec![0.0; rows * cols];
+        for r in 0..rows {
+            for c in 0..cols {
+                t[c * rows + r] = x[r * cols + c];
+            }
+        }
+        t
+    }
+
+    /// Element-wise packing into the layout of [`pack`]: one `View::at`
+    /// per element, zero past the last row.
+    fn pack_reference(
+        v: View<'_>,
+        r0: usize,
+        rows: usize,
+        p0: usize,
+        kc: usize,
+        w: usize,
+    ) -> Vec<f32> {
+        let tiles = rows.div_ceil(w);
+        let mut out = vec![0.0; tiles * kc * w];
+        for t in 0..tiles {
+            for p in 0..kc {
+                for r in 0..w {
+                    let row = t * w + r;
+                    if row < rows {
+                        out[(t * kc + p) * w + r] = v.at(r0 + row, p0 + p);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Skinny shapes as small-batch layers produce them: a handful of
+    /// rows, `k` on both sides of the `KC` block edges, `n` below, at and
+    /// past each tier's tile width.
+    fn skinny_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = Vec::new();
+        for m in [1, 2, 3, 4, 8] {
+            for k in [1, 7, KC - 1, KC, KC + 1, 2 * KC + 3] {
+                for n in [1, 8, 16, 17, 64, 257] {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        shapes
+    }
+
+    /// Packing by layout writes exactly the tiles the element-wise
+    /// reference writes, for every view an entry point builds, every
+    /// tier's tile width and every `KC` block, over stale buffers.
+    #[test]
+    fn layout_packing_matches_elementwise_reference_on_skinny_shapes() {
+        let mut rng = Rng::new(17);
+        for (m, k, n) in skinny_shapes() {
+            let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
+            let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
+            let (at, bt) = (transpose(&a, m, k), transpose(&b, k, n));
+            // The (A, B) views of gemm_ws, gemm_at_ws and gemm_bt_ws.
+            let layouts = [
+                ("A@B", View::row_major(&a, k), View::row_major(&b, n)),
+                ("A^T@B", View::transposed(&at, m), View::row_major(&b, n)),
+                ("A@B^T", View::row_major(&a, k), View::transposed(&bt, k)),
+            ];
+            // Packing is plain Rust, so every tier's widths run anywhere.
+            for kernel in GemmKernel::all() {
+                for (name, av, bv) in layouts {
+                    for p0 in (0..k).step_by(KC) {
+                        let kc = KC.min(k - p0);
+                        // An m-block that starts past row 0, as MC blocks do.
+                        let skip = usize::from(m > 1);
+                        let packs = [
+                            ("A", av, 0, m, kernel.mr()),
+                            ("A from row 1", av, skip, m - skip, kernel.mr()),
+                            ("B", bv.t(), 0, n, kernel.nr()),
+                        ];
+                        for (side, v, r0, rows, w) in packs {
+                            let want = pack_reference(v, r0, rows, p0, kc, w);
+                            // Stale contents, as `take_pack` hands them out.
+                            let mut got = vec![f32::NAN; want.len() + w];
+                            pack(v, r0, rows, p0, kc, w, &mut got);
+                            let same = got[..want.len()]
+                                .iter()
+                                .zip(&want)
+                                .all(|(x, y)| x.to_bits() == y.to_bits());
+                            assert!(same, "{kernel} {name} {side} m={m} k={k} n={n} p0={p0}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// On the same skinny shapes, through all three Dense-layer entry
+    /// points and over alpha/beta corners, every supported tier returns
+    /// the scalar tier's bits, and the scalar tier matches the naive
+    /// reference.
+    #[test]
+    fn skinny_outputs_are_bit_identical_across_tiers() {
+        let mut rng = Rng::new(18);
+        for (case, (m, k, n)) in skinny_shapes().into_iter().enumerate() {
+            let alpha = [1.0f32, 0.7, 0.0][case % 3];
+            let beta = [0.0f32, 1.0, 0.3][(case / 3) % 3];
+            let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
+            let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
+            let c0: Vec<f32> = (0..m * n).map(|_| rng.normal()).collect();
+            let (at, bt) = (transpose(&a, m, k), transpose(&b, k, n));
+            let run = |kernel: GemmKernel| {
+                with_kernel(kernel, || {
+                    let mut ws = Workspace::new();
+                    let mut plain = c0.clone();
+                    gemm_ws(m, k, n, alpha, &a, &b, beta, &mut plain, &mut ws);
+                    let mut with_at = c0.clone();
+                    gemm_at_ws(m, k, n, alpha, &at, &b, beta, &mut with_at, &mut ws);
+                    let mut with_bt = c0.clone();
+                    gemm_bt_ws(m, k, n, alpha, &a, &bt, beta, &mut with_bt, &mut ws);
+                    [plain, with_at, with_bt]
+                })
+            };
+            let scalar = run(GemmKernel::Scalar);
+            let mut want = c0.clone();
+            gemm_naive(m, k, n, alpha, &a, &b, beta, &mut want);
+            for got in &scalar {
+                assert_close(&want, got, 1e-4 * k as f32);
+            }
+            for kernel in supported_kernels() {
+                let tier = run(kernel);
+                for (layout, (s, t)) in ["A@B", "A^T@B", "A@B^T"]
+                    .iter()
+                    .zip(scalar.iter().zip(&tier))
+                {
+                    assert_eq!(s, t, "{kernel} {layout} m={m} k={k} n={n}");
+                }
             }
         }
     }
